@@ -7,9 +7,10 @@ and produced in a per-stage manifest.  Timestamps and wall times live only
 in manifest/timing files, never in metric artifacts, so metric JSONs are
 byte-identical across repeated runs.
 
-Config values come from a single JSON file with per-stage sections; CLI
-flags override the config, and the environment variables DFLSCHED_SEED,
-DFLSCHED_ZONES, DFLSCHED_EPOCHS and DFLSCHED_OUT override both.
+Config values come from a single JSON file with per-stage sections.  The
+environment variables DFLSCHED_SEED, DFLSCHED_ZONES and DFLSCHED_EPOCHS
+override the config, and the matching CLI flags override both.
+DFLSCHED_OUT, when set, is used instead of ``--out``.
 """
 from __future__ import annotations
 
@@ -216,21 +217,21 @@ def write_transitions_csv(ds: TransitionDataset, path: Path) -> None:
 
 
 def read_transitions_csv(path: Path, dt: float) -> TransitionDataset:
-    rows = []
-    with open(path, newline="") as fp:
-        reader = csv.reader(fp)
-        next(reader)
-        for row in reader:
-            rows.append((int(row[0]), int(row[1]), *(float(x) for x in row[2:])))
-    n = max(r[0] for r in rows) + 1
-    z = max(r[1] for r in rows) + 1
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    t = data[:, 0].astype(int)
+    zi = data[:, 1].astype(int)
+    n = t.max() + 1
+    z = zi.max() + 1
     tau = np.empty((n, z))
     amb = np.empty(n)
     p_h = np.empty((n, z))
     p_c = np.empty((n, z))
     tau_next = np.empty((n, z))
-    for t, zi, tv, av, ph, pc, tn in rows:
-        tau[t, zi], amb[t], p_h[t, zi], p_c[t, zi], tau_next[t, zi] = tv, av, ph, pc, tn
+    tau[t, zi] = data[:, 2]
+    amb[t] = data[:, 3]
+    p_h[t, zi] = data[:, 4]
+    p_c[t, zi] = data[:, 5]
+    tau_next[t, zi] = data[:, 6]
     return TransitionDataset(tau, amb, p_h, p_c, tau_next, dt)
 
 

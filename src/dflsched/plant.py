@@ -11,9 +11,9 @@ it from the affine RC model the optimizer learns.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,81 +153,140 @@ def _solar_profile(hour_frac: np.ndarray, peak: float) -> np.ndarray:
     return peak * np.where((hour_frac >= 6.0) & (hour_frac <= 18.0), np.maximum(x, 0.0), 0.0)
 
 
-class _PlantState:
-    def __init__(self, spec: PlantSpec, tau_air: np.ndarray):
-        self.t_air = np.asarray(tau_air, dtype=float).copy()
-        self.t_mass = self.t_air.copy()
-        self.integral = np.zeros(spec.topology.num_zones)
-
-
-def _allocate(spec: PlantSpec, cmd: np.ndarray):
-    """Split thermal commands into AHU heating, reheat and AHU cooling,
-    respecting floor coil ratings with proportional curtailment."""
-    q_h = np.maximum(cmd, 0.0)
-    q_c = np.maximum(-cmd, 0.0)
-    ahu_h = np.zeros_like(q_h)
-    reheat = np.zeros_like(q_h)
-    cool = np.zeros_like(q_c)
-    for f, members in enumerate(spec.topology.floors):
-        m = np.asarray(members)
-        want = q_h[m]
-        total = want.sum()
-        scale = min(1.0, spec.ahu_heat_rating[f] / total) if total > 0 else 0.0
-        ahu_h[m] = want * scale
-        reheat[m] = np.minimum(want - ahu_h[m], spec.reheat_rating[m])
-        want_c = q_c[m]
-        total_c = want_c.sum()
-        scale_c = min(1.0, spec.ahu_cool_rating[f] / total_c) if total_c > 0 else 0.0
-        cool[m] = want_c * scale_c
-    return ahu_h, reheat, cool
-
-
-def _substep(spec: PlantSpec, state: _PlantState, lo, hi, ambient: float,
-             gains: np.ndarray, h: float, adj: np.ndarray,
-             occupied: bool = False):
-    """Advance one controller+thermal substep; returns electrical powers.
-
-    PI control tracks the band [lo, hi] (lo == hi for exact setpoints); the
-    integrator only accumulates while the equipment can deliver the command
-    (conditional-integration anti-windup)."""
-    err = np.clip(state.t_air, lo, hi) - state.t_air
-    cmd = spec.kp * err + spec.ki * state.integral
-    ahu_h, reheat, cool = _allocate(spec, cmd)
-    delivered = ahu_h + reheat - cool
-    saturated = np.abs(delivered - cmd) > 1e-9
-    state.integral = np.where(saturated, state.integral, state.integral + err * h)
-
-    q_hvac = (1.0 - spec.duct_loss) * (ahu_h - cool) + reheat
-    d_t = ambient - state.t_air
-    q_env = d_t * np.abs(d_t / 10.0) ** (spec.convection_exponent - 1.0) / spec.r_env
-    q_zz = (adj @ state.t_air - adj.sum(axis=1) * state.t_air) / spec.r_zone
-    q_ma = (state.t_mass - state.t_air) / spec.r_mass
-
-    state.t_air = state.t_air + h * (q_hvac + gains + q_env + q_zz + q_ma) / spec.c_air
-    state.t_mass = state.t_mass + h * (-q_ma) / spec.c_mass
-
-    cop = spec.cop(ambient)
-    p_heat = ahu_h + reheat + spec.fan_coeff * ahu_h
-    p_cool = cool / cop + spec.fan_coeff * cool
-    if occupied:
-        vent = spec.vent_fan_kw
-        heat_side = cmd >= 0.0
-        p_heat = p_heat + np.where(heat_side, vent, 0.0)
-        p_cool = p_cool + np.where(heat_side, 0.0, vent)
-    return p_heat, p_cool, q_hvac, q_env
-
-
-def _gains(spec: PlantSpec, hour_frac: float, occupied: bool,
-           rng: np.random.Generator) -> np.ndarray:
-    base = spec.gain_occupied if occupied else spec.gain_base
-    solar = _solar_profile(np.asarray(hour_frac), spec.solar_gain_peak)
-    noise = rng.normal(0.0, spec.noise_std, size=len(base)) if spec.noise_std > 0 \
-        else np.zeros(len(base))
-    return base + solar + noise
-
-
 def _occupied(hour_of_day: int, day_of_week: int) -> bool:
     return day_of_week < 5 and 7 <= hour_of_day < 18
+
+
+class _Run(NamedTuple):
+    tau: np.ndarray  # (T+1, Z) air temperature at each hour boundary
+    p_heat: np.ndarray  # (T, Z) mean electrical power per hour, heating share
+    p_cool: np.ndarray  # (T, Z) cooling share
+    energy: tuple | None  # delivered, envelope, gains, storage (kWh)
+
+
+def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray, band,
+           rng: np.random.Generator, dt: float, energy: bool = False) -> _Run:
+    """The plant's time-stepping loop, shared by every public entry point.
+
+    Air and mass nodes start at ``tau0`` with an empty integrator, then
+    each of the ``len(weather)`` hours runs ``spec.substeps`` controller
+    and thermal substeps.  ``band(t)`` gives hour t's tracked band
+    ``(lo, hi)`` (lo == hi for exact setpoints) and whether it is occupied.
+    PI control tracks the band; the integrator only accumulates while the
+    equipment can deliver the command (conditional-integration
+    anti-windup).  Floor AHU coils curtail proportionally at their rating
+    and reheat tops up heating up to its own; zones on no floor get no HVAC.
+    ``energy`` adds the run's thermal bookkeeping.
+    """
+    z = spec.topology.num_zones
+    n = len(weather)
+    m = spec.substeps
+    h = dt / m
+    adj = _adjacency(spec.topology)
+    adj_rows = adj.sum(axis=1)
+    exponent = spec.convection_exponent - 1.0
+    hour_frac = np.arange(24)[:, None] + (np.arange(m) + 0.5) / m * dt
+    solar = _solar_profile(hour_frac, spec.solar_gain_peak)[:, :, None]
+    # scalar factors as (Z,) arrays: the same IEEE operations, without
+    # numpy's per-call scalar conversion (``**`` keeps its scalar exponent)
+    kp, ki, h_z, duct, fan, r_zone, tol, ten, zero = (
+        np.full(z, v) for v in (spec.kp, spec.ki, h, 1.0 - spec.duct_loss,
+                                spec.fan_coeff, spec.r_zone, 1e-9, 10.0, 0.0))
+
+    # Floor AHU totals per zone, row 0 heating and row 1 cooling.  Zones on
+    # floors of one size gather their floor's members into a (2, zones,
+    # size) block, so each total is the same contiguous sum as a per-floor
+    # slice (np.add.reduceat, or zero padding once a row reaches numpy's
+    # 8-wide unrolled sum, differ in the last bit).  Zones on no floor keep
+    # total 1 against rating 0: zero scale.
+    floors = spec.topology.floors
+    floor_of = {zone: f for f, members in enumerate(floors) for zone in members}
+    rating = np.zeros((2, z))
+    for zone, f in floor_of.items():
+        rating[:, zone] = spec.ahu_heat_rating[f], spec.ahu_cool_rating[f]
+    groups = []
+    for size in sorted({len(members) for members in floors} - {0}):
+        zones = sorted(zone for zone, f in floor_of.items() if len(floors[f]) == size)
+        idx = np.array([floors[floor_of[zone]] for zone in zones])
+        contiguous = zones[-1] - zones[0] + 1 == len(zones)
+        sel = slice(zones[0], zones[-1] + 1) if contiguous else np.array(zones)
+        groups.append((sel, np.stack((idx, idx + z))))
+    total = np.ones((2, z))
+    reheat_cap = np.where(rating[0] > 0.0, spec.reheat_rating, 0.0)
+    signed = np.empty((2, z))
+
+    t_air = np.asarray(tau0, dtype=float).copy()
+    t_mass = t_air.copy()
+    integral = np.zeros(z)
+    heat0 = float(spec.c_air @ t_air + spec.c_mass @ t_mass)
+    tau = np.empty((n + 1, z))
+    tau[0] = t_air
+    p_heat = np.zeros((n, z))
+    p_cool = np.zeros((n, z))
+    e_delivered = e_envelope = e_gains = 0.0
+    flows = np.empty((2, m, z))  # q_hvac and q_env per substep, for energy
+
+    for t in range(n):
+        lo, hi, occupied = band(t)
+        ambient = np.full(z, weather[t])
+        cop = np.full(z, spec.cop(weather[t]))
+        base = spec.gain_occupied if occupied else spec.gain_base
+        noise = rng.normal(0.0, spec.noise_std, size=(m, z)) if spec.noise_std > 0 \
+            else np.zeros((m, z))
+        gains = base + solar[t % 24] + noise
+        acc_h = np.zeros(z)
+        acc_c = np.zeros(z)
+        for k in range(m):
+            err = np.minimum(np.maximum(t_air, lo), hi) - t_air
+            cmd = kp * err + ki * integral
+            signed[0] = cmd
+            np.negative(cmd, out=signed[1])
+            want = np.maximum(signed, zero)
+            flat = want.ravel()
+            for sel, gather in groups:
+                total[:, sel] = flat[gather].sum(axis=-1)
+            # == min(1, rating / total) for total > 0; 1 when the floor wants 0
+            coil = want * (rating / np.maximum(total, rating))
+            ahu_h, cool = coil[0], coil[1]
+            reheat = np.minimum(want[0] - ahu_h, reheat_cap)
+            heat = ahu_h + reheat
+            saturated = np.abs(heat - cool - cmd) > tol
+            integral = np.where(saturated, integral, integral + err * h_z)
+
+            q_hvac = duct * (ahu_h - cool) + reheat
+            d_t = ambient - t_air
+            q_env = d_t * np.abs(d_t / ten) ** exponent / spec.r_env
+            q_zz = (adj @ t_air - adj_rows * t_air) / r_zone
+            q_ma = (t_mass - t_air) / spec.r_mass
+            t_air = t_air + h_z * (q_hvac + gains[k] + q_env + q_zz + q_ma) / spec.c_air
+            t_mass = t_mass - h_z * q_ma / spec.c_mass
+
+            fan_kw = fan * coil
+            ph = heat + fan_kw[0]
+            pc = cool / cop + fan_kw[1]
+            if occupied:
+                heat_side = cmd >= zero
+                ph = ph + np.where(heat_side, spec.vent_fan_kw, zero)
+                pc = pc + np.where(heat_side, zero, spec.vent_fan_kw)
+            acc_h += ph
+            acc_c += pc
+            if energy:
+                flows[0, k] = q_hvac
+                flows[1, k] = q_env
+        tau[t + 1] = t_air
+        p_heat[t] = acc_h / m
+        p_cool[t] = acc_c / m
+        if energy:
+            for q_h, q_e, g in zip(*flows.sum(axis=-1).tolist(), gains.sum(axis=-1).tolist()):
+                e_delivered += q_h * h
+                e_envelope += q_e * h
+                e_gains += g * h
+
+    sums = None
+    if energy:
+        heat1 = float(spec.c_air @ t_air + spec.c_mass @ t_mass)
+        sums = (e_delivered, e_envelope, e_gains, heat1 - heat0)
+    return _Run(tau, p_heat, p_cool, sums)
 
 
 def simulate_day(spec: PlantSpec, setpoints: np.ndarray, weather: np.ndarray,
@@ -247,48 +306,21 @@ def simulate_day(spec: PlantSpec, setpoints: np.ndarray, weather: np.ndarray,
     if setpoints.shape != (t_h + 1, z):
         raise PlantError(f"setpoints must have shape {(t_h + 1, z)}, got {setpoints.shape}")
 
-    rng = np.random.default_rng(seed)
-    adj = _adjacency(spec.topology)
-    state = _PlantState(spec, setpoints[0])
-    h = dt / spec.substeps
-
-    tau_obs = np.empty((t_h + 1, z))
-    tau_obs[0] = state.t_air
-    p_heat_obs = np.zeros((t_h, z))
-    p_cool_obs = np.zeros((t_h, z))
-    e_delivered = e_envelope = e_gains = 0.0
-    heat0 = float(spec.c_air @ state.t_air + spec.c_mass @ state.t_mass)
-
-    for t in range(t_h):
+    def band(t):
         target = setpoints[t + 1]
-        hour_of_day = t % 24
-        occupied = _occupied(hour_of_day, day_of_week + t // 24)
-        acc_h = np.zeros(z)
-        acc_c = np.zeros(z)
-        for k in range(spec.substeps):
-            gains = _gains(spec, hour_of_day + (k + 0.5) / spec.substeps * dt,
-                           occupied, rng)
-            p_heat, p_cool, q_hvac, q_env = _substep(
-                spec, state, target, target, weather[t], gains, h, adj,
-                occupied=occupied)
-            acc_h += p_heat
-            acc_c += p_cool
-            e_delivered += float(q_hvac.sum()) * h
-            e_envelope += float(q_env.sum()) * h
-            e_gains += float(gains.sum()) * h
-        tau_obs[t + 1] = state.t_air
-        p_heat_obs[t] = acc_h / spec.substeps
-        p_cool_obs[t] = acc_c / spec.substeps
+        return target, target, _occupied(t % 24, day_of_week + t // 24)
 
-    p_hvac = p_heat_obs + p_cool_obs
+    run = _drive(spec, setpoints[0], weather, band, np.random.default_rng(seed),
+                 dt, energy=True)
+    p_hvac = run.p_heat + run.p_cool
     p_import = p_hvac.sum(axis=1)
     cost = tariff.cost_of(p_import, dt) if tariff is not None else None
-    heat1 = float(spec.c_air @ state.t_air + spec.c_mass @ state.t_mass)
-    return SimulationTrace(tau_obs, p_hvac, p_import, cost, p_heat_obs,
-                           p_cool_obs, energy_delivered_kwh=e_delivered,
-                           energy_envelope_kwh=e_envelope,
-                           energy_gains_kwh=e_gains,
-                           energy_storage_kwh=heat1 - heat0)
+    delivered, envelope, gains, storage = run.energy
+    return SimulationTrace(run.tau, p_hvac, p_import, cost, run.p_heat,
+                           run.p_cool, energy_delivered_kwh=delivered,
+                           energy_envelope_kwh=envelope,
+                           energy_gains_kwh=gains,
+                           energy_storage_kwh=storage)
 
 
 class Plant:
@@ -399,40 +431,19 @@ def historical_rollout(spec: PlantSpec, weather_year: np.ndarray, seed: int,
     """One year under the conventional occupancy schedule (21 degC occupied,
     17/26 degC setbacks by default), recorded as hourly transitions."""
     weather_year = np.asarray(weather_year, dtype=float).ravel()
-    n = len(weather_year)
-    if n % 24:
+    if len(weather_year) % 24:
         raise PlantError("weather series must cover whole days")
     z = spec.topology.num_zones
-    rng = np.random.default_rng(seed)
-    adj = _adjacency(spec.topology)
-    state = _PlantState(spec, np.full(z, 20.0))
-    h = dt / spec.substeps
 
-    tau = np.empty((n, z))
-    p_h = np.zeros((n, z))
-    p_c = np.zeros((n, z))
-    tau_next = np.empty((n, z))
-
-    for t in range(n):
-        hour_of_day = t % 24
-        day_of_week = (t // 24) % 7
+    def band(t):
+        hour_of_day, day_of_week = t % 24, (t // 24) % 7
         lo, hi = baseline_band(hour_of_day, day_of_week, z, policy)
-        occupied = _occupied(hour_of_day, day_of_week)
-        tau[t] = state.t_air
-        acc_h = np.zeros(z)
-        acc_c = np.zeros(z)
-        for k in range(spec.substeps):
-            gains = _gains(spec, hour_of_day + (k + 0.5) / spec.substeps * dt,
-                           occupied, rng)
-            ph, pc, _, _ = _substep(spec, state, lo, hi, weather_year[t],
-                                     gains, h, adj, occupied=occupied)
-            acc_h += ph
-            acc_c += pc
-        p_h[t] = acc_h / spec.substeps
-        p_c[t] = acc_c / spec.substeps
-        tau_next[t] = state.t_air
+        return lo, hi, _occupied(hour_of_day, day_of_week)
 
-    return TransitionDataset(tau, weather_year.copy(), p_h, p_c, tau_next, dt)
+    run = _drive(spec, np.full(z, 20.0), weather_year, band,
+                 np.random.default_rng(seed), dt)
+    return TransitionDataset(run.tau[:-1], weather_year.copy(), run.p_heat,
+                             run.p_cool, run.tau[1:], dt)
 
 
 def warmup_initial_tau(spec: PlantSpec, preceding_day_weather: np.ndarray,
@@ -442,20 +453,14 @@ def warmup_initial_tau(spec: PlantSpec, preceding_day_weather: np.ndarray,
     preceding day; used as each scenario's initial condition."""
     weather = np.asarray(preceding_day_weather, dtype=float).ravel()
     z = spec.topology.num_zones
-    rng = np.random.default_rng(seed)
-    adj = _adjacency(spec.topology)
-    state = _PlantState(spec, np.full(z, 20.0))
-    h = dt / spec.substeps
-    for t in range(len(weather)):
-        hour_of_day = t % 24
-        lo, hi = baseline_band(hour_of_day, day_of_week, z)
-        occupied = _occupied(hour_of_day, day_of_week)
-        for k in range(spec.substeps):
-            gains = _gains(spec, hour_of_day + (k + 0.5) / spec.substeps * dt,
-                           occupied, rng)
-            _substep(spec, state, lo, hi, weather[t], gains, h, adj,
-                     occupied=occupied)
-    return state.t_air.copy()
+
+    def band(t):
+        lo, hi = baseline_band(t % 24, day_of_week, z)
+        return lo, hi, _occupied(t % 24, day_of_week)
+
+    run = _drive(spec, np.full(z, 20.0), weather, band,
+                 np.random.default_rng(seed), dt)
+    return run.tau[-1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +478,3 @@ def export_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
                 writer.writerow([t, z, repr(float(trace.tau_obs[t + 1, z])),
                                  repr(float(trace.p_hvac_obs[t, z]))])
 
-
-def export_trace_summary(trace: SimulationTrace, path: str | Path) -> None:
-    doc = {
-        "energy_kwh": float(trace.p_import_obs.sum()),
-        "peak_kw": float(trace.p_import_obs.max()) if trace.p_import_obs.size else 0.0,
-        "expost_cost": trace.expost_cost,
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))

@@ -15,6 +15,7 @@ active-set-reduced KKT Jacobian.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -206,17 +207,20 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
 def _residual_norm(stat: np.ndarray, r_p: np.ndarray, gap: np.ndarray,
                    mu: np.ndarray) -> float:
     """Infinity norm of the KKT residual from its parts: the stationarity
-    residual, the equality residual Au - b and the inequality gap Gu - h."""
-    worst = 0.0
+    residual, the equality residual Au - b and the inequality gap Gu - h.
+    Infinite when any part is not finite: ``max`` would drop a NaN."""
+    parts = []
     if r_p.size:
-        worst = max(worst, float(np.abs(r_p).max()))
+        parts.append(float(np.abs(r_p).max()))
     if gap.size:
-        worst = max(worst, float(np.maximum(gap, 0.0).max()))
-        worst = max(worst, float(np.maximum(-mu, 0.0).max()))
-        worst = max(worst, float(np.abs(mu * gap).max()))
+        parts.append(float(np.maximum(gap, 0.0).max()))
+        parts.append(float(np.maximum(-mu, 0.0).max()))
+        parts.append(float(np.abs(mu * gap).max()))
     if stat.size:
-        worst = max(worst, float(np.abs(stat).max()))
-    return worst
+        parts.append(float(np.abs(stat).max()))
+    if not all(map(math.isfinite, parts)):
+        return float("inf")
+    return max([0.0, *parts])
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,6 @@ class ZoneTopology:
     def num_floors(self) -> int:
         return len(self.floors)
 
-    def floor_of(self, zone: int) -> int:
-        for f, members in enumerate(self.floors):
-            if zone in members:
-                return f
-        raise RcError(f"zone {zone} is not on any floor")
-
 
 def default_topology(num_zones: int, zones_per_floor: int = 5) -> ZoneTopology:
     """Consecutive chunks of ``zones_per_floor`` zones per floor; the case

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dflsched import plant, rc
-from dflsched.plant import PlantSpec
+from dflsched.plant import PlantSpec, _occupied, _solar_profile
 
 
 def quiet_spec(z=1, substeps=12, noise=0.0, **overrides):
@@ -223,3 +223,231 @@ class TestExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,zone,tau_obs,p_hvac_obs"
         assert len(lines) == 1 + 24 * 2
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-substep loop that the vectorized plant loop replaced, kept
+# verbatim as the oracle for bit-identical outputs
+
+
+class _RefState:
+    def __init__(self, spec: PlantSpec, tau_air: np.ndarray):
+        self.t_air = np.asarray(tau_air, dtype=float).copy()
+        self.t_mass = self.t_air.copy()
+        self.integral = np.zeros(spec.topology.num_zones)
+
+
+def _ref_allocate(spec: PlantSpec, cmd: np.ndarray):
+    q_h = np.maximum(cmd, 0.0)
+    q_c = np.maximum(-cmd, 0.0)
+    ahu_h = np.zeros_like(q_h)
+    reheat = np.zeros_like(q_h)
+    cool = np.zeros_like(q_c)
+    for f, members in enumerate(spec.topology.floors):
+        m = np.asarray(members)
+        want = q_h[m]
+        total = want.sum()
+        scale = min(1.0, spec.ahu_heat_rating[f] / total) if total > 0 else 0.0
+        ahu_h[m] = want * scale
+        reheat[m] = np.minimum(want - ahu_h[m], spec.reheat_rating[m])
+        want_c = q_c[m]
+        total_c = want_c.sum()
+        scale_c = min(1.0, spec.ahu_cool_rating[f] / total_c) if total_c > 0 else 0.0
+        cool[m] = want_c * scale_c
+    return ahu_h, reheat, cool
+
+
+def _ref_substep(spec: PlantSpec, state: _RefState, lo, hi, ambient: float,
+                 gains: np.ndarray, h: float, adj: np.ndarray,
+                 occupied: bool = False):
+    err = np.clip(state.t_air, lo, hi) - state.t_air
+    cmd = spec.kp * err + spec.ki * state.integral
+    ahu_h, reheat, cool = _ref_allocate(spec, cmd)
+    delivered = ahu_h + reheat - cool
+    saturated = np.abs(delivered - cmd) > 1e-9
+    state.integral = np.where(saturated, state.integral, state.integral + err * h)
+
+    q_hvac = (1.0 - spec.duct_loss) * (ahu_h - cool) + reheat
+    d_t = ambient - state.t_air
+    q_env = d_t * np.abs(d_t / 10.0) ** (spec.convection_exponent - 1.0) / spec.r_env
+    q_zz = (adj @ state.t_air - adj.sum(axis=1) * state.t_air) / spec.r_zone
+    q_ma = (state.t_mass - state.t_air) / spec.r_mass
+
+    state.t_air = state.t_air + h * (q_hvac + gains + q_env + q_zz + q_ma) / spec.c_air
+    state.t_mass = state.t_mass + h * (-q_ma) / spec.c_mass
+
+    cop = spec.cop(ambient)
+    p_heat = ahu_h + reheat + spec.fan_coeff * ahu_h
+    p_cool = cool / cop + spec.fan_coeff * cool
+    if occupied:
+        vent = spec.vent_fan_kw
+        heat_side = cmd >= 0.0
+        p_heat = p_heat + np.where(heat_side, vent, 0.0)
+        p_cool = p_cool + np.where(heat_side, 0.0, vent)
+    return p_heat, p_cool, q_hvac, q_env
+
+
+def _ref_gains(spec: PlantSpec, hour_frac: float, occupied: bool,
+               rng: np.random.Generator) -> np.ndarray:
+    base = spec.gain_occupied if occupied else spec.gain_base
+    solar = _solar_profile(np.asarray(hour_frac), spec.solar_gain_peak)
+    noise = rng.normal(0.0, spec.noise_std, size=len(base)) if spec.noise_std > 0 \
+        else np.zeros(len(base))
+    return base + solar + noise
+
+
+def _ref_simulate_day(spec, setpoints, weather, seed, day_of_week=0, dt=1.0):
+    z = spec.topology.num_zones
+    t_h = len(weather)
+    rng = np.random.default_rng(seed)
+    adj = plant._adjacency(spec.topology)
+    state = _RefState(spec, setpoints[0])
+    h = dt / spec.substeps
+
+    tau_obs = np.empty((t_h + 1, z))
+    tau_obs[0] = state.t_air
+    p_heat_obs = np.zeros((t_h, z))
+    p_cool_obs = np.zeros((t_h, z))
+    e_delivered = e_envelope = e_gains = 0.0
+    heat0 = float(spec.c_air @ state.t_air + spec.c_mass @ state.t_mass)
+
+    for t in range(t_h):
+        target = setpoints[t + 1]
+        hour_of_day = t % 24
+        occupied = _occupied(hour_of_day, day_of_week + t // 24)
+        acc_h = np.zeros(z)
+        acc_c = np.zeros(z)
+        for k in range(spec.substeps):
+            gains = _ref_gains(spec, hour_of_day + (k + 0.5) / spec.substeps * dt,
+                               occupied, rng)
+            p_heat, p_cool, q_hvac, q_env = _ref_substep(
+                spec, state, target, target, weather[t], gains, h, adj,
+                occupied=occupied)
+            acc_h += p_heat
+            acc_c += p_cool
+            e_delivered += float(q_hvac.sum()) * h
+            e_envelope += float(q_env.sum()) * h
+            e_gains += float(gains.sum()) * h
+        tau_obs[t + 1] = state.t_air
+        p_heat_obs[t] = acc_h / spec.substeps
+        p_cool_obs[t] = acc_c / spec.substeps
+
+    heat1 = float(spec.c_air @ state.t_air + spec.c_mass @ state.t_mass)
+    return (tau_obs, p_heat_obs, p_cool_obs,
+            (e_delivered, e_envelope, e_gains, heat1 - heat0))
+
+
+def _ref_baseline_run(spec, weather, seed, dt=1.0, fixed_day_of_week=None):
+    """historical_rollout (day of week advancing from Monday) or, with a
+    fixed day of week, warmup_initial_tau."""
+    z = spec.topology.num_zones
+    n = len(weather)
+    rng = np.random.default_rng(seed)
+    adj = plant._adjacency(spec.topology)
+    state = _RefState(spec, np.full(z, 20.0))
+    h = dt / spec.substeps
+
+    tau = np.empty((n, z))
+    p_h = np.zeros((n, z))
+    p_c = np.zeros((n, z))
+    tau_next = np.empty((n, z))
+
+    for t in range(n):
+        hour_of_day = t % 24
+        day_of_week = (t // 24) % 7 if fixed_day_of_week is None else fixed_day_of_week
+        lo, hi = plant.baseline_band(hour_of_day, day_of_week, z)
+        occupied = _occupied(hour_of_day, day_of_week)
+        tau[t] = state.t_air
+        acc_h = np.zeros(z)
+        acc_c = np.zeros(z)
+        for k in range(spec.substeps):
+            gains = _ref_gains(spec, hour_of_day + (k + 0.5) / spec.substeps * dt,
+                               occupied, rng)
+            ph, pc, _, _ = _ref_substep(spec, state, lo, hi, weather[t],
+                                        gains, h, adj, occupied=occupied)
+            acc_h += ph
+            acc_c += pc
+        p_h[t] = acc_h / spec.substeps
+        p_c[t] = acc_c / spec.substeps
+        tau_next[t] = state.t_air
+    return tau, p_h, p_c, tau_next
+
+
+def _off_floor_topology():
+    # zone 3 is on no floor; floors of unequal size
+    return rc.ZoneTopology(6, ((0, 1, 2), (4, 5)))
+
+
+_TOPOLOGIES = {
+    "z5": lambda: rc.default_topology(5),
+    "z7-floors-5-2": lambda: rc.default_topology(7),
+    "z15": lambda: rc.default_topology(15),
+    "z6-zone-on-no-floor": _off_floor_topology,
+}
+
+
+class TestPlantLoopMatchesReference:
+    """The vectorized time-stepping loop reproduces the per-substep loop bit
+    for bit."""
+
+    @pytest.fixture(params=sorted(_TOPOLOGIES), ids=str)
+    def topology(self, request):
+        return _TOPOLOGIES[request.param]()
+
+    @pytest.fixture(params=[0.0, 0.15], ids=["noise-off", "noise-on"])
+    def spec(self, request, topology):
+        return plant.default_plant_spec(topology, noise_std=request.param, seed=2)
+
+    def test_historical_rollout_three_days(self, spec):
+        weather = np.random.default_rng(5).uniform(-15.0, 32.0, size=72)
+        ds = plant.historical_rollout(spec, weather, seed=11)
+        tau, p_h, p_c, tau_next = _ref_baseline_run(spec, weather, seed=11)
+        np.testing.assert_array_equal(ds.tau, tau)
+        np.testing.assert_array_equal(ds.p_h, p_h)
+        np.testing.assert_array_equal(ds.p_c, p_c)
+        np.testing.assert_array_equal(ds.tau_next, tau_next)
+
+    @pytest.mark.parametrize("day_of_week", [1, 6])
+    def test_warmup_initial_tau(self, spec, day_of_week):
+        weather = np.random.default_rng(6).uniform(-10.0, 30.0, size=24)
+        got = plant.warmup_initial_tau(spec, weather, seed=3, day_of_week=day_of_week)
+        tau, _, _, tau_next = _ref_baseline_run(spec, weather, seed=3,
+                                                fixed_day_of_week=day_of_week)
+        np.testing.assert_array_equal(got, tau_next[-1])
+
+    @pytest.mark.parametrize("case", ["tracking", "saturating"])
+    def test_simulate_day(self, spec, case):
+        z = spec.topology.num_zones
+        rng = np.random.default_rng(7)
+        if case == "tracking":
+            setpoints = 21.0 + rng.uniform(-3.0, 3.0, size=(49, z))
+            weather = rng.uniform(-5.0, 30.0, size=48)
+        else:
+            # far above anything the floor AHU can deliver on a cold day
+            setpoints = np.full((49, z), 45.0)
+            setpoints[0] = 18.0
+            weather = np.full(48, -15.0)
+        if case == "saturating":
+            # the first substep's command (empty integrator) already exceeds
+            # every floor's AHU rating, so the floor-scale path fires
+            first = spec.kp * (setpoints[1] - setpoints[0])
+            assert all(first[list(members)].sum() > rating for members, rating
+                       in zip(spec.topology.floors, spec.ahu_heat_rating))
+        ref_tau, ref_h, ref_c, ref_energy = _ref_simulate_day(
+            spec, setpoints, weather, seed=9, day_of_week=4)
+        trace = plant.simulate_day(spec, setpoints, weather, seed=9, day_of_week=4)
+        np.testing.assert_array_equal(trace.tau_obs, ref_tau)
+        np.testing.assert_array_equal(trace.p_heat_obs, ref_h)
+        np.testing.assert_array_equal(trace.p_cool_obs, ref_c)
+        np.testing.assert_array_equal(trace.p_hvac_obs, ref_h + ref_c)
+        assert (trace.energy_delivered_kwh, trace.energy_envelope_kwh,
+                trace.energy_gains_kwh, trace.energy_storage_kwh) == ref_energy
+
+    def test_zone_on_no_floor_gets_no_hvac(self):
+        spec = plant.default_plant_spec(_off_floor_topology(), noise_std=0.15, seed=2)
+        setpoints = np.full((25, 6), 30.0)
+        # a Saturday: no occupancy, so no ventilation fan either
+        trace = plant.simulate_day(spec, setpoints, np.full(24, -10.0), seed=1,
+                                   day_of_week=5)
+        assert np.all(trace.p_hvac_obs[:, 3] == 0.0)
+        assert np.all(trace.p_hvac_obs[:, [0, 1, 2, 4, 5]] > 0.0)

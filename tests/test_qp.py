@@ -138,6 +138,17 @@ class TestKktResidual:
                             0.0, qp.QpStatus.OPTIMAL, 0.0)
         assert qp.kkt_residual(p, sol) == 0.0
 
+    def test_nan_primal_is_not_finite(self, rng):
+        p = random_strictly_convex_qp(rng, n=4, m_eq=1, m_in=3)
+        s = solve_tight(p)
+        nan = qp.QpSolution(np.full(4, np.nan), s.dual_eq, s.dual_in,
+                            s.objective_value, s.status, 0.0)
+        assert not np.isfinite(qp.kkt_residual(p, nan))
+        one_nan = qp.QpSolution(s.primal.copy(), s.dual_eq, s.dual_in,
+                                s.objective_value, s.status, 0.0)
+        one_nan.primal[2] = np.nan
+        assert not np.isfinite(qp.kkt_residual(p, one_nan))
+
 
 class TestBackward:
     def test_equality_rhs_gradient(self):
