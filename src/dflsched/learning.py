@@ -166,7 +166,7 @@ def hierarchical_loss(expected: np.ndarray, observed: np.ndarray,
     """Price-weighted mean absolute power error at building, floor and zone
     level.  The demand charge is added to the price at the step with the
     highest ex-post (observed) total power.  Weights default to the zone
-    counts: the whole building, then each floor."""
+    counts: the whole building's, then each floor's own."""
     expected = np.asarray(expected, dtype=float)
     observed = np.asarray(observed, dtype=float)
     if expected.shape != observed.shape:
@@ -176,8 +176,8 @@ def hierarchical_loss(expected: np.ndarray, observed: np.ndarray,
         raise ValueError("power matrices disagree with topology")
     if w_building is None:
         w_building = float(z_n)
-    if w_floor is None:
-        w_floor = float(len(topology.floors[0])) if topology.floors else 1.0
+    weights = np.array([float(len(m)) if w_floor is None else float(w_floor)
+                        for m in topology.floors])
 
     lam = tariff.all_inclusive_price(_expost_peak_step(observed))
     err = expected - observed
@@ -185,11 +185,14 @@ def hierarchical_loss(expected: np.ndarray, observed: np.ndarray,
     e_floors = np.stack([np.abs(err[:, list(m)].sum(axis=1)) for m in topology.floors], axis=1) \
         if topology.floors else np.zeros((t_h, 0))
     e_zones = np.abs(err).sum(axis=1)
+    # floors of one weight are summed before weighting, so equal floors give
+    # exactly w * (sum of floor errors)
+    by_weight = [(w, e_floors[:, weights == w].sum(axis=1)) for w in np.unique(weights)]
 
     b_term = float((lam * w_building * e_building).sum() / t_h)
-    f_term = float((lam * w_floor * e_floors.sum(axis=1)).sum() / t_h)
+    f_term = float(sum((lam * w * e).sum() for w, e in by_weight) / t_h)
     z_term = float((lam * e_zones).sum() / t_h)
-    per_step = lam * (w_building * e_building + w_floor * e_floors.sum(axis=1) + e_zones) / t_h
+    per_step = lam * (w_building * e_building + sum(w * e for w, e in by_weight) + e_zones) / t_h
     return LossBreakdown(b_term + f_term + z_term, b_term, f_term, z_term, per_step)
 
 
@@ -204,8 +207,6 @@ def loss_gradient_wrt_expected(expected: np.ndarray, observed: np.ndarray,
     t_h, z_n = expected.shape
     if w_building is None:
         w_building = float(z_n)
-    if w_floor is None:
-        w_floor = float(len(topology.floors[0])) if topology.floors else 1.0
 
     lam = tariff.all_inclusive_price(_expost_peak_step(observed))
     err = expected - observed
@@ -214,7 +215,8 @@ def loss_gradient_wrt_expected(expected: np.ndarray, observed: np.ndarray,
     for members in topology.floors:
         cols = list(members)
         s_floor = np.sign(err[:, cols].sum(axis=1))
-        grad[:, cols] += w_floor * s_floor[:, None]
+        w = float(len(cols)) if w_floor is None else w_floor
+        grad[:, cols] += w * s_floor[:, None]
     grad += np.sign(err)
     return grad * lam[:, None] / t_h
 

@@ -308,7 +308,7 @@ def simulate_day(spec: PlantSpec, setpoints: np.ndarray, weather: np.ndarray,
 
     def band(t):
         target = setpoints[t + 1]
-        return target, target, _occupied(t % 24, day_of_week + t // 24)
+        return target, target, _occupied(t % 24, (day_of_week + t // 24) % 7)
 
     run = _drive(spec, setpoints[0], weather, band, np.random.default_rng(seed),
                  dt, energy=True)

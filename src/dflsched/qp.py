@@ -12,6 +12,12 @@ methods with sloppy multiplier recovery.  ``backward`` turns a loss gradient
 with respect to the primal solution into gradients with respect to every
 data block (Q, q, A, b, G, h) by solving one adjoint system on the
 active-set-reduced KKT Jacobian.
+
+Apart from the interior-point Newton steps (``_NewtonKkt``), every linear
+solve is one KKT system [[H, C'], [C, 0]] built by ``_kkt_matrix`` and solved
+by ``_solve_kkt``: the least-norm start (which certifies inconsistent
+equalities), problems without inequalities, the active-set polish and the
+adjoint.
 """
 from __future__ import annotations
 
@@ -19,10 +25,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -53,8 +57,10 @@ DEGENERACY_THRESHOLD = 1e-6
 
 # Static regularization of interior-point KKT systems (quasi-definite trick).
 _IPM_REG = 1e-9
-# Diagonal shift applied to the adjoint KKT system when near-singular.
+# First signed diagonal shift of the one-shot KKT solves (``_solve_kkt``).
 _ADJOINT_REG = 1e-10
+# Above this many variables only a diagonal Q is checked for PSD exactly.
+_PSD_CHECK_LIMIT = 200
 
 
 def _csr(m, shape) -> sp.csr_matrix:
@@ -115,10 +121,10 @@ class QpProblem:
     def num_in(self) -> int:
         return self.G.shape[0]
 
-    def validate(self, psd_limit: int = 200) -> None:
+    def validate(self) -> None:
         """Check symmetry and positive semidefiniteness of Q.
 
-        The dense eigenvalue check is O(n^3), so above ``psd_limit``
+        The dense eigenvalue check is O(n^3), so above ``_PSD_CHECK_LIMIT``
         variables only diagonal Q is checked exactly; non-diagonal large Q
         relies on the solver detecting indefiniteness.
         """
@@ -132,7 +138,7 @@ class QpProblem:
         if offdiag.nnz == 0:
             if np.any(self.Q.diagonal() < -1e-10 * scale):
                 raise QpError("Q has a negative diagonal entry (not PSD)")
-        elif self.num_vars <= psd_limit:
+        elif self.num_vars <= _PSD_CHECK_LIMIT:
             w = np.linalg.eigvalsh(self.Q.toarray())
             if w.min() < -1e-10 * max(abs(w).max(), 1.0):
                 raise QpError("Q is not positive semidefinite")
@@ -228,11 +234,13 @@ def _residual_norm(stat: np.ndarray, r_p: np.ndarray, gap: np.ndarray,
 
 
 class _Presolve:
-    """Removes variables fixed by singleton equality rows and, for equality
-    blocks small enough to QR-factorize, dependent rows.  Keeps enough
-    bookkeeping to reconstruct the full primal/dual solution afterwards."""
+    """Removes variables fixed by singleton equality rows, and rows left
+    empty by them.  Keeps enough bookkeeping to reconstruct the full
+    primal/dual solution afterwards.  Dependent rows stay: the KKT solves
+    absorb consistent ones, and the least-norm start certifies inconsistent
+    ones."""
 
-    def __init__(self, problem: QpProblem, rank_check_limit: int):
+    def __init__(self, problem: QpProblem):
         self.orig = problem
         n, m_eq = problem.num_vars, problem.num_eq
         self.keep_var = np.ones(n, dtype=bool)
@@ -301,27 +309,6 @@ class _Presolve:
         else:
             G_red, h_red = None, None
 
-        # dependent-row elimination (pivoted QR); the scheduler builds
-        # full-rank systems by construction, so this only runs for blocks
-        # small enough that the dense factorization is cheap
-        self.row_map = ridx
-        if A_red is not None and 0 < A_red.shape[0] <= rank_check_limit:
-            Ad = A_red.toarray()
-            _, R, piv = sla.qr(Ad.T, mode="economic", pivoting=True)
-            diag = np.abs(np.diag(R))
-            tol = max(Ad.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-            rank = int(np.sum(diag > max(tol, 1e-13)))
-            if rank < Ad.shape[0]:
-                kept = np.sort(piv[:rank])
-                dropped = np.sort(piv[rank:])
-                Ak, bk = Ad[kept], b_red[kept]
-                for i in dropped:
-                    w, *_ = np.linalg.lstsq(Ak.T, Ad[i], rcond=None)
-                    if abs(b_red[i] - w @ bk) > 1e-8 * b_scale:
-                        self.infeasible = True
-                self.row_map = ridx[kept]
-                A_red, b_red = A_red[kept], b_red[kept]
-
         self.reduced = QpProblem(len(vidx), Q_rr, q_red, A_red, b_red, G_red, h_red)
 
     def expand(self, u_r: np.ndarray, y_r: np.ndarray,
@@ -330,13 +317,13 @@ class _Presolve:
 
         Singleton-row duals come from the stationarity condition of the
         variable each row fixed, recovered in reverse elimination order;
-        dropped dependent rows get zero duals.
+        rows left empty keep a zero dual.
         """
         p = self.orig
         u = self.fixed_value.copy()
         u[np.flatnonzero(self.keep_var)] = u_r
         y = np.zeros(p.num_eq)
-        y[self.row_map] = y_r
+        y[np.flatnonzero(self.keep_row)] = y_r
         if self.fixed_order:
             A_csc = p.A.tocsc()
             G_csc = p.G.tocsc() if p.num_in else None
@@ -404,24 +391,29 @@ class _NewtonKkt:
         return self._K
 
 
-def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50,
-          rank_check_limit: int = 400) -> QpSolution:
+def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> QpSolution:
     """Solve the QP with a Mehrotra predictor-corrector interior-point method.
 
     When the returned status is OPTIMAL the solution's ``kkt_residual`` is at
-    most ``tolerance``.  INFEASIBLE and UNBOUNDED are certified by presolve
-    where possible and otherwise detected from iterate divergence.
+    most ``tolerance``.  Inconsistent equalities are certified INFEASIBLE by
+    presolve or by the least-norm start, at every problem size; problems
+    without inequalities are certified UNBOUNDED by their KKT solve.
+    Otherwise INFEASIBLE and UNBOUNDED are detected from iterate divergence.
     """
     if tolerance <= 0:
         raise QpError("tolerance must be positive")
     problem.validate()
 
-    pre = _Presolve(problem, rank_check_limit)
-    if pre.infeasible:
-        return _finish(problem, np.zeros(problem.num_vars), np.zeros(problem.num_eq),
-                       np.zeros(problem.num_in), QpStatus.INFEASIBLE, 0, tolerance)
+    pre = _Presolve(problem)
     red = pre.reduced
     n, m_eq, m_in = red.num_vars, red.num_eq, red.num_in
+    try:
+        u = _least_norm_start(red)
+    except SingularKktError:  # inconsistent equalities
+        u = None
+    if pre.infeasible or u is None:
+        return _finish(problem, np.zeros(problem.num_vars), np.zeros(problem.num_eq),
+                       np.zeros(problem.num_in), QpStatus.INFEASIBLE, 0, tolerance)
 
     if n == 0:
         u, y = pre.expand(np.zeros(0), np.zeros(m_eq), np.zeros(problem.num_in))
@@ -438,7 +430,6 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50,
     AT, GT = A.T, G.T
     kkt = _NewtonKkt(Q, A, G)
 
-    u = _least_norm_start(red)
     y = np.zeros(m_eq)
     gap = h - G @ u
     shift = max(0.0, 1.5 * float(-gap.min())) if gap.size else 0.0
@@ -533,17 +524,10 @@ def _polish(red: QpProblem, u, y, z, res):
     best = (u, y, z, res)
     for _ in range(12):
         rows = sorted(act)
-        G_act = red.G[rows] if rows else None
-        K = sp.bmat(
-            [[red.Q, red.A.T if m_eq else None,
-              G_act.T if rows else None],
-             [red.A if m_eq else None, None, None],
-             [G_act if rows else None, None, None]],
-            format="csc",
-        ) if (m_eq or rows) else red.Q.tocsc()
+        K = _kkt_matrix(red.Q, red.A, red.G[rows])
         rhs = np.concatenate([-red.q, red.b, red.h[rows]])
         try:
-            sol = _solve_adjoint(K, rhs, n_primal=n)
+            sol = _solve_kkt(K, rhs, n)
         except SingularKktError:
             # dependent actives with inconsistent right-hand sides (a floor
             # cap plus every one of its zone caps): prune the weakest active
@@ -586,43 +570,29 @@ def _step_length(s, ds, z, dz) -> float:
 
 
 def _least_norm_start(red: QpProblem) -> np.ndarray:
-    n, m = red.num_vars, red.num_eq
-    if m == 0:
+    """The least-norm solution of Au = b.  Raises SingularKktError when the
+    equalities are inconsistent."""
+    n = red.num_vars
+    if red.num_eq == 0:
         return np.zeros(n)
-    K = sp.bmat([[sp.identity(n), red.A.T],
-                 [red.A, -_IPM_REG * sp.identity(m)]], format="csc")
-    sol = spla.splu(K).solve(np.concatenate([np.zeros(n), red.b]))
-    return sol[:n]
+    rhs = np.concatenate([np.zeros(n), red.b])
+    return _solve_kkt(_kkt_matrix(sp.identity(n), red.A), rhs, n)[:n]
 
 
 def _solve_equality_qp(red: QpProblem, tolerance: float):
-    """Direct KKT solve for problems without inequalities."""
+    """Direct KKT solve for problems without inequalities, whose equalities
+    the least-norm start has found consistent."""
     n, m = red.num_vars, red.num_eq
     scale = max(1.0, float(np.abs(red.q).max()),
                 float(np.abs(red.b).max()) if m else 0.0)
-    if m == 0:
-        Qd = red.Q.toarray()
-        u, *_ = np.linalg.lstsq(Qd, -red.q, rcond=None)
-        if np.max(np.abs(Qd @ u + red.q)) > max(tolerance, 1e-9) * scale:
-            return u, np.zeros(0), QpStatus.UNBOUNDED, 1
-        return u, np.zeros(0), QpStatus.OPTIMAL, 1
-    K = sp.bmat([[red.Q + _IPM_REG * sp.identity(n), red.A.T],
-                 [red.A, -_IPM_REG * sp.identity(m)]], format="csc")
-    rhs = np.concatenate([-red.q, red.b])
     try:
-        factor = spla.splu(K)
-    except RuntimeError:
-        return np.zeros(n), np.zeros(m), QpStatus.INFEASIBLE, 1
-    sol = factor.solve(rhs)
-    K0 = sp.bmat([[red.Q, red.A.T], [red.A, None]], format="csr")
-    for _ in range(3):  # refine away the static regularization
-        r = rhs - K0 @ sol
-        if np.max(np.abs(r)) < 1e-14 * scale:
-            break
-        sol = sol + factor.solve(r)
+        sol = _solve_kkt(_kkt_matrix(red.Q, red.A), np.concatenate([-red.q, red.b]), n)
+    except SingularKktError:
+        # consistent equalities and no KKT point: a descent ray exists
+        return np.zeros(n), np.zeros(m), QpStatus.UNBOUNDED, 1
     u, y = sol[:n], sol[n:]
-    res = max(float(np.abs(red.Q @ u + red.q + red.A.T @ y).max()),
-              float(np.abs(red.A @ u - red.b).max()))
+    res = _residual_norm(red.Q @ u + red.q + red.A.T @ y, red.A @ u - red.b,
+                         np.zeros(0), np.zeros(0))
     ok = res <= max(tolerance, 1e-8) * scale
     return u, y, QpStatus.OPTIMAL if ok else QpStatus.MAX_ITER, 1
 
@@ -679,24 +649,9 @@ def backward(problem: QpProblem, solution: QpSolution,
     else:
         act = np.zeros(0, dtype=int)
 
-    G_act = problem.G[act] if len(act) else None
     m_act = len(act)
-
-    if m_eq or m_act:
-        K = sp.bmat(
-            [
-                [problem.Q,
-                 problem.A.T if m_eq else None,
-                 G_act.T if m_act else None],
-                [problem.A if m_eq else None, None, None],
-                [G_act if m_act else None, None, None],
-            ],
-            format="csc",
-        )
-    else:
-        K = problem.Q.tocsc()
-    rhs = np.concatenate([grad_primal, np.zeros(m_eq + m_act)])
-    v = _solve_adjoint(K, rhs, n_primal=n)
+    K = _kkt_matrix(problem.Q, problem.A, problem.G[act])
+    v = _solve_kkt(K, np.concatenate([grad_primal, np.zeros(m_eq + m_act)]), n)
 
     v_u = v[:n]
     v_y = v[n:n + m_eq]
@@ -714,21 +669,26 @@ def backward(problem: QpProblem, solution: QpSolution,
     return SolutionSensitivity(grad_Q, grad_q, grad_A, grad_b, grad_G, grad_h)
 
 
-def _solve_adjoint(K, rhs: np.ndarray, n_primal: int | None = None) -> np.ndarray:
-    """Solve a symmetric (quasi-definite-able) KKT system.
+def _kkt_matrix(H, A: sp.csr_matrix, G_rows=None) -> sp.csc_matrix:
+    """The KKT matrix [[H, C'], [C, 0]] with constraint rows C = [A; G_rows]."""
+    C = A if G_rows is None else sp.vstack([A, G_rows], format="csr")
+    return sp.bmat([[H, C.T], [C, None]], format="csc")
+
+
+def _solve_kkt(K: sp.csc_matrix, rhs: np.ndarray, n_primal: int) -> np.ndarray:
+    """Solve a KKT system from ``_kkt_matrix``; its first ``n_primal`` rows
+    are the primal block.
 
     A signed diagonal shift (+delta on the primal block, -delta on the
     multiplier block) keeps the factorization structurally nonsingular even
-    with linearly dependent active rows; iterative refinement against the
+    with linearly dependent constraint rows; iterative refinement against the
     unshifted system then removes the bias.  Raises SingularKktError only
-    when no shift level yields a consistent solve.
+    when no shift level yields a consistent solve: inconsistent constraint
+    rows, or no stationary point.
     """
     scale = max(1.0, float(np.abs(rhs).max()))
-    if n_primal is None:
-        n_primal = K.shape[0]
     sign = np.ones(K.shape[0])
     sign[n_primal:] = -1.0
-    K = K.tocsc()
     for delta in (_ADJOINT_REG, 1e-8, 1e-6):
         try:
             factor = spla.splu(K + sp.diags(delta * sign, format="csc"))
@@ -744,7 +704,7 @@ def _solve_adjoint(K, rhs: np.ndarray, n_primal: int | None = None) -> np.ndarra
             v = v + factor.solve(r)
         if np.all(np.isfinite(v)) and np.max(np.abs(K @ v - rhs)) <= 1e-6 * scale:
             return v
-    raise SingularKktError("adjoint KKT system singular beyond regularization")
+    raise SingularKktError("KKT system singular beyond regularization")
 
 
 def backward_through_map(sensitivity: SolutionSensitivity,
@@ -770,38 +730,3 @@ def backward_through_map(sensitivity: SolutionSensitivity,
         except KeyError:
             raise QpError(f"unknown block code {code!r}") from None
     return np.asarray(cm.jacobian.T @ g).ravel()
-
-
-# ---------------------------------------------------------------------------
-# plain-text dump/load for debugging reproducibility
-
-
-def dump(problem: QpProblem, fp: IO[str]) -> None:
-    """Write the problem in plain text: a ``qp n m_eq m_in`` header followed
-    by dense row-major blocks Q, q, A, b, G, h (one matrix row per line)."""
-    fp.write(f"qp {problem.num_vars} {problem.num_eq} {problem.num_in}\n")
-    for name, block in (("Q", problem.Q.toarray()), ("q", problem.q),
-                        ("A", problem.A.toarray()), ("b", problem.b),
-                        ("G", problem.G.toarray()), ("h", problem.h)):
-        fp.write(name + "\n")
-        for row in np.atleast_2d(block):
-            fp.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def load(fp: IO[str]) -> QpProblem:
-    header = fp.readline().split()
-    if len(header) != 4 or header[0] != "qp":
-        raise QpError("not a QP dump: bad header")
-    n, m_eq, m_in = (int(x) for x in header[1:])
-    blocks = {}
-    expect = (("Q", n, n), ("q", 1, n), ("A", m_eq, n), ("b", 1, m_eq),
-              ("G", m_in, n), ("h", 1, m_in))
-    for name, rows, cols in expect:
-        label = fp.readline().strip()
-        if label != name:
-            raise QpError(f"expected block {name!r}, found {label!r}")
-        data = [[float(x) for x in fp.readline().split()] for _ in range(rows)]
-        arr = np.asarray(data, dtype=float).reshape(rows, cols) if rows * cols else np.zeros((rows, cols))
-        blocks[name] = arr
-    return QpProblem(n, blocks["Q"], blocks["q"].ravel(), blocks["A"],
-                     blocks["b"].ravel(), blocks["G"], blocks["h"].ravel())

@@ -123,6 +123,19 @@ class TestHierarchicalLoss:
         lb = learning.hierarchical_loss(expected, observed, flat_tariff(), topo)
         assert lb.total == pytest.approx(15.0 + 5.0 + 1.0)
 
+    def test_default_weights_follow_each_floors_zone_count(self):
+        # 7 zones in floors of 5 and 2: one unit error in zone 0 and in zone 5
+        # costs 7 * 2 at the building, 5 * 1 + 2 * 1 at the floors, 2 at zones
+        topo = rc.default_topology(7)
+        assert [len(m) for m in topo.floors] == [5, 2]
+        expected = np.zeros((1, 7))
+        observed = np.zeros((1, 7))
+        expected[0, [0, 5]] = 1.0
+        lb = learning.hierarchical_loss(expected, observed, flat_tariff(), topo)
+        assert lb.floor_term == pytest.approx(7.0)
+        assert lb.total == pytest.approx(14.0 + 7.0 + 2.0)
+        assert lb.per_step.sum() == pytest.approx(lb.total)
+
     def test_demand_charge_lands_on_expost_peak_step(self):
         topo = one_floor_topology(2)
         tariff = scheduler.Tariff(np.array([0.5, 0.5, 0.5]), 10.0)
@@ -167,17 +180,31 @@ class TestLossGradient:
         assert grad[0, 2] == pytest.approx(21.0)  # all three signs positive
         assert grad[0, 0] == pytest.approx(20.0)  # building + floor only
 
-    def test_matches_finite_differences_away_from_kinks(self, rng):
-        topo = rc.default_topology(6)  # two floors of five -> 6 gives 2 floors
+    def test_unequal_floors_hand_slope(self):
+        # floors of 5 and 2: an error in zone 5 moves the building (7), its
+        # own floor (2) and itself (1)
+        topo = rc.default_topology(7)
+        expected = np.zeros((1, 7))
+        observed = np.zeros((1, 7))
+        expected[0, 5] = 1.0
+        grad = learning.loss_gradient_wrt_expected(expected, observed,
+                                                   flat_tariff(), topo)
+        assert grad[0, 5] == pytest.approx(10.0)
+        assert grad[0, 6] == pytest.approx(9.0)
+        assert grad[0, 0] == pytest.approx(7.0)
+
+    @staticmethod
+    def check_finite_differences(rng, zones):
+        topo = rc.default_topology(zones)
         t_h = 4
-        observed = rng.uniform(1, 5, size=(t_h, 6))
-        expected = observed + rng.choice([-1, 1], size=(t_h, 6)) \
-            * rng.uniform(0.01, 0.5, size=(t_h, 6))
+        observed = rng.uniform(1, 5, size=(t_h, zones))
+        expected = observed + rng.choice([-1, 1], size=(t_h, zones)) \
+            * rng.uniform(0.01, 0.5, size=(t_h, zones))
         tariff = scheduler.Tariff(rng.uniform(0.3, 0.7, t_h), 4.0)
         grad = learning.loss_gradient_wrt_expected(expected, observed, tariff, topo)
 
         def loss_at(flat):
-            return learning.hierarchical_loss(flat.reshape(t_h, 6), observed,
+            return learning.hierarchical_loss(flat.reshape(t_h, zones), observed,
                                               tariff, topo).total
 
         eps = 1e-6
@@ -188,7 +215,13 @@ class TestLossGradient:
             up[k] += eps
             dn[k] -= eps
             fd[k] = (loss_at(up) - loss_at(dn)) / (2 * eps)
-        assert rel_err(fd.reshape(t_h, 6), grad) <= 1e-6
+        assert rel_err(fd.reshape(t_h, zones), grad) <= 1e-6
+
+    def test_matches_finite_differences_away_from_kinks(self, rng):
+        self.check_finite_differences(rng, 6)  # floors of 5 and 1
+
+    def test_matches_finite_differences_unequal_floors(self, rng):
+        self.check_finite_differences(rng, 7)  # floors of 5 and 2
 
 
 class TestPretrain:

@@ -54,6 +54,16 @@ class TestSimulateDay:
         assert abs(steady - expected) / expected <= 0.02
         assert abs(trace.tau_obs[-1, 0] - setpoint) < 0.05
 
+    def test_occupancy_wraps_into_next_week(self):
+        # 48 hours from Sunday: Monday 7-18 h is occupied, which at thermal
+        # equilibrium shows as the ventilation fan's draw alone
+        spec = quiet_spec(z=2, vent_fan_kw=np.full(2, 1.0))
+        trace = plant.simulate_day(spec, np.full((49, 2), 20.0), np.full(48, 20.0),
+                                   seed=1, day_of_week=6)
+        expected = np.zeros((48, 2))
+        expected[24 + 7:24 + 18] = 1.0
+        np.testing.assert_allclose(trace.p_hvac_obs, expected, atol=1e-9)
+
     def test_determinism_bitwise(self):
         topo = rc.default_topology(4)
         spec = plant.default_plant_spec(topo, noise_std=0.2, seed=3)
@@ -314,7 +324,7 @@ def _ref_simulate_day(spec, setpoints, weather, seed, day_of_week=0, dt=1.0):
     for t in range(t_h):
         target = setpoints[t + 1]
         hour_of_day = t % 24
-        occupied = _occupied(hour_of_day, day_of_week + t // 24)
+        occupied = _occupied(hour_of_day, (day_of_week + t // 24) % 7)
         acc_h = np.zeros(z)
         acc_c = np.zeros(z)
         for k in range(spec.substeps):

@@ -1,6 +1,4 @@
 """QP solver and KKT implicit differentiation."""
-import io
-
 import numpy as np
 import pytest
 
@@ -62,6 +60,43 @@ class TestSolve:
         s = qp.solve(p)
         assert s.status == qp.QpStatus.OPTIMAL
         np.testing.assert_allclose(s.primal, [1.0, 1.0], atol=1e-8)
+
+    @staticmethod
+    def chain_with_copied_row(extra_b0: float, inequalities: bool):
+        # 410 rows u_i + u_{i+1} = 1 over 420 variables plus a copy of row 0
+        # with right-hand side 1 + extra_b0: more than 400 equalities, none
+        # of them a singleton that presolve could resolve on its own
+        import scipy.sparse as sp
+        n, m = 420, 410
+        rows = np.repeat(np.arange(m), 2)
+        cols = np.stack([np.arange(m), np.arange(m) + 1], axis=1).ravel()
+        A = sp.csr_matrix((np.ones(2 * m), (rows, cols)), shape=(m, n))
+        A = sp.vstack([A, A[0]], format="csr")
+        b = np.ones(m + 1)
+        b[-1] += extra_b0
+        q = np.linspace(-1.0, 1.0, n)
+        if not inequalities:
+            return qp.QpProblem(n, sp.identity(n), q, A, b)
+        return qp.QpProblem(n, sp.identity(n), q, A, b,
+                            sp.identity(n, format="csr"), np.full(n, 0.7))
+
+    def test_large_inconsistent_equalities_detected(self):
+        p = self.chain_with_copied_row(0.1, inequalities=True)
+        assert p.num_eq > 400 and p.num_in
+        assert qp.solve(p).status == qp.QpStatus.INFEASIBLE
+
+    def test_large_inconsistent_equalities_detected_without_inequalities(self):
+        p = self.chain_with_copied_row(0.1, inequalities=False)
+        assert p.num_eq > 400 and not p.num_in
+        assert qp.solve(p).status == qp.QpStatus.INFEASIBLE
+
+    def test_large_redundant_equality_row_solved(self):
+        p = self.chain_with_copied_row(0.0, inequalities=True)
+        s = qp.solve(p)
+        assert s.status == qp.QpStatus.OPTIMAL
+        assert s.kkt_residual <= 1e-8
+        np.testing.assert_allclose(p.A @ s.primal, p.b, atol=1e-8)
+        assert np.all(s.primal <= 0.7 + 1e-8)
 
     def test_scaling_invariance(self, rng):
         # multiplying (Q, q) by c > 0 keeps the primal, scales the duals
@@ -304,25 +339,6 @@ class TestBackwardThroughMap:
             jacobian=sp.csr_matrix(np.array([[-1.0 / c_val ** 2]])))
         out = qp.backward_through_map(sens, cmap)
         np.testing.assert_allclose(out, [-g / c_val ** 2])
-
-
-class TestDumpLoad:
-    def test_round_trip(self, rng):
-        p = random_strictly_convex_qp(rng, n=4, m_eq=2, m_in=3)
-        buf = io.StringIO()
-        qp.dump(p, buf)
-        buf.seek(0)
-        p2 = qp.load(buf)
-        np.testing.assert_array_equal(p.Q.toarray(), p2.Q.toarray())
-        np.testing.assert_array_equal(p.q, p2.q)
-        np.testing.assert_array_equal(p.A.toarray(), p2.A.toarray())
-        np.testing.assert_array_equal(p.b, p2.b)
-        np.testing.assert_array_equal(p.G.toarray(), p2.G.toarray())
-        np.testing.assert_array_equal(p.h, p2.h)
-
-    def test_rejects_bad_header(self):
-        with pytest.raises(qp.QpError):
-            qp.load(io.StringIO("nonsense\n"))
 
 
 class TestValidate:
