@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import click
@@ -369,8 +370,6 @@ def stage_evaluate(cfg: dict, out: Path, model: str, split: str) -> dict:
     run_dir.mkdir(parents=True, exist_ok=True)
     p_metrics = run_dir / f"metrics_{model}.json"
     report.to_json(p_metrics)
-    (out / "timings.json").write_text(json.dumps(
-        {"stage": f"evaluate-{model}-{split}", "wall_time": report.wall_time}))
     write_stage_manifest(out, f"evaluate-{model}-{split}", cfg,
                          [out / f"theta_{model}.json", out / "scenarios.json"],
                          [p_metrics])
@@ -396,6 +395,18 @@ def stage_compare(cfg: dict, out: Path, split: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # click wiring
+
+
+def _timed(out: Path, stage: str, runner, *args) -> dict:
+    """Run one stage and merge its wall time into ``timings.json``, which
+    collects every stage run into ``out``."""
+    start = time.perf_counter()
+    result = runner(*args)
+    path = out / "timings.json"
+    timings = json.loads(path.read_text()) if path.exists() else {}
+    timings[stage] = time.perf_counter() - start
+    path.write_text(json.dumps(timings, indent=1, sort_keys=True))
+    return result
 
 
 def _finish_stage(result: dict) -> None:
@@ -439,7 +450,7 @@ def _stage_command(name: str, runner):
     def _cmd(config_path, seed, out_dir, zones, epochs):
         try:
             cfg, out = _setup(config_path, seed, out_dir, zones, epochs)
-            _finish_stage(runner(cfg, out))
+            _finish_stage(_timed(out, name, runner, cfg, out))
         except Exception as exc:  # noqa: BLE001 - machine-readable error contract
             _fail(exc)
     return _cmd
@@ -459,7 +470,8 @@ _stage_command("train-dfl", stage_train_dfl)
 def evaluate_cmd(config_path, seed, out_dir, zones, epochs, model, split):
     try:
         cfg, out = _setup(config_path, seed, out_dir, zones, epochs)
-        _finish_stage(stage_evaluate(cfg, out, model, split))
+        _finish_stage(_timed(out, f"evaluate-{model}-{split}", stage_evaluate,
+                             cfg, out, model, split))
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
 
@@ -469,7 +481,7 @@ def evaluate_cmd(config_path, seed, out_dir, zones, epochs, model, split):
 def stress_cmd(config_path, seed, out_dir, zones, epochs):
     try:
         cfg, out = _setup(config_path, seed, out_dir, zones, epochs)
-        _finish_stage(stage_compare(cfg, out, "hot-year"))
+        _finish_stage(_timed(out, "stress-hot-year", stage_compare, cfg, out, "hot-year"))
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
 
@@ -479,19 +491,18 @@ def stress_cmd(config_path, seed, out_dir, zones, epochs):
 def full_run_cmd(config_path, seed, out_dir, zones, epochs):
     try:
         cfg, out = _setup(config_path, seed, out_dir, zones, epochs)
-        summary = {}
-        summary["synth-weather"] = stage_synth_weather(cfg, out)
-        summary["cluster"] = stage_cluster(cfg, out)
-        summary["baseline-rollout"] = stage_baseline_rollout(cfg, out)
-        summary["pretrain"] = stage_pretrain(cfg, out)
-        summary["train-dfl"] = stage_train_dfl(cfg, out)
-        summary["compare-test"] = stage_compare(cfg, out, "test")
-        summary["stress-hot-year"] = stage_compare(cfg, out, "hot-year")
+        stages = [("synth-weather", stage_synth_weather), ("cluster", stage_cluster),
+                  ("baseline-rollout", stage_baseline_rollout),
+                  ("pretrain", stage_pretrain), ("train-dfl", stage_train_dfl),
+                  ("compare-test", partial(stage_compare, split="test")),
+                  ("stress-hot-year", partial(stage_compare, split="hot-year"))]
+        for name, fn in stages:
+            _timed(out, name, fn, cfg, out)
         (out / "manifest.json").write_text(json.dumps(
             {"run_id": run_id_of(cfg), "config": cfg,
              "stages": sorted(p.name for p in (out / "manifest").glob("*.json"))},
             indent=1, sort_keys=True))
-        _finish_stage({"run_id": run_id_of(cfg), "stages": list(summary)})
+        _finish_stage({"run_id": run_id_of(cfg), "stages": [name for name, _ in stages]})
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
 

@@ -13,17 +13,18 @@ with respect to the primal solution into gradients with respect to every
 data block (Q, q, A, b, G, h) by solving one adjoint system on the
 active-set-reduced KKT Jacobian.
 
-Apart from the interior-point Newton steps (``_NewtonKkt``), every linear
-solve is one KKT system [[H, C'], [C, 0]] built by ``_kkt_matrix`` and solved
-by ``_solve_kkt``: the least-norm start (which certifies inconsistent
-equalities), problems without inequalities, the active-set polish and the
-adjoint.
+Every matrix is one KKT pattern [[H, C'], [C, 0]] from ``_kkt_matrix``, a CSC
+matrix with its diagonal stored: the Newton matrix (``_NewtonKkt``, values
+refreshed per iteration), and the one-shot systems that ``_solve_kkt``
+shifts, factors and refines (the least-norm start, which certifies
+inconsistent equalities, problems without inequalities, the active-set
+polish, warm-started from the interior-point iterate, and the adjoint).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -61,19 +62,16 @@ _IPM_REG = 1e-9
 _ADJOINT_REG = 1e-10
 # Above this many variables only a diagonal Q is checked for PSD exactly.
 _PSD_CHECK_LIMIT = 200
+_NO_ENTRIES = np.zeros(0, dtype=int)
 
 
 def _csr(m, shape) -> sp.csr_matrix:
     if m is None:
         return sp.csr_matrix(shape)
     if sp.issparse(m):
-        out = m.tocsr().astype(float)
-    else:
-        arr = np.asarray(m, dtype=float)
-        if arr.size == 0:
-            return sp.csr_matrix(shape)
-        out = sp.csr_matrix(np.atleast_2d(arr))
-    return out
+        return m.tocsr().astype(float)
+    arr = np.asarray(m, dtype=float)
+    return sp.csr_matrix(np.atleast_2d(arr)) if arr.size else sp.csr_matrix(shape)
 
 
 def _vec(v) -> np.ndarray:
@@ -156,6 +154,7 @@ class QpSolution:
     status: QpStatus
     kkt_residual: float
     iterations: int = 0
+    polish_rounds: int = 0
 
 
 @dataclass
@@ -197,17 +196,9 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     Covers stationarity, equality violation, clipped inequality violation,
     dual nonnegativity violation and complementarity.
     """
-    u, y, mu = solution.primal, solution.dual_eq, solution.dual_in
-    stat = problem.Q @ u + problem.q
-    r_p = np.zeros(0)
-    gap = np.zeros(0)
-    if problem.num_eq:
-        stat = stat + problem.A.T @ y
-        r_p = problem.A @ u - problem.b
-    if problem.num_in:
-        gap = problem.G @ u - problem.h
-        stat = stat + problem.G.T @ mu
-    return _residual_norm(stat, r_p, gap, mu)
+    p, u, y, mu = problem, solution.primal, solution.dual_eq, solution.dual_in
+    stat = p.Q @ u + p.q + p.A.T @ y + p.G.T @ mu
+    return _residual_norm(stat, p.A @ u - p.b, p.G @ u - p.h, mu)
 
 
 def _residual_norm(stat: np.ndarray, r_p: np.ndarray, gap: np.ndarray,
@@ -249,10 +240,10 @@ class _Presolve:
         self.fixed_order: list[tuple[int, int]] = []  # (var, row), in fix order
         self.infeasible = False
 
-        b_scale = max(1.0, float(np.abs(problem.b).max())) if m_eq else 1.0
+        b_eff = problem.b.copy()
         if m_eq:
+            b_scale = max(1.0, float(np.abs(b_eff).max()))
             A_work = problem.A.copy().tocsr()
-            b_eff = problem.b.copy()
             for _ in range(20):  # sweeps; terminates when no singleton remains
                 A_work.eliminate_zeros()
                 counts = np.diff(A_work.indptr)
@@ -287,9 +278,7 @@ class _Presolve:
                 if abs(b_eff[i]) > 1e-9 * b_scale:
                     self.infeasible = True
                 self.keep_row[i] = False
-            self.b_eff = b_eff
-        else:
-            self.b_eff = np.zeros(0)
+        self.b_eff = b_eff
 
         vidx = np.flatnonzero(self.keep_var)
         ridx = np.flatnonzero(self.keep_row)
@@ -327,14 +316,12 @@ class _Presolve:
         if self.fixed_order:
             A_csc = p.A.tocsc()
             G_csc = p.G.tocsc() if p.num_in else None
-            Q_csr = p.Q
             for j, i in reversed(self.fixed_order):
-                r_j = (Q_csr.getrow(j) @ u)[0] + p.q[j]
+                r_j = (p.Q.getrow(j) @ u)[0] + p.q[j]
                 r_j += (A_csc.getcol(j).T @ y)[0]
                 if G_csc is not None:
                     r_j += (G_csc.getcol(j).T @ mu)[0]
-                coef = p.A[i, j]
-                y[i] = -r_j / coef
+                y[i] = -r_j / p.A[i, j]
         return u, y
 
 
@@ -348,18 +335,14 @@ class _NewtonKkt:
         [[Q + G'diag(D)G + r I,  A'  ],
          [A,                    -r I ]]     (r = _IPM_REG)
 
-    with its sparsity pattern built once per solve.  Every entry is the
-    static part (Q, A, A' and the signed regularization) plus a linear map
-    of the scaling D: row k of G contributes G[k,i] G[k,j] D[k] to (i, j).
-    Each iteration refreshes only the values of one CSC matrix.
+    with its pattern built once per solve by ``_kkt_matrix``.  Every entry is
+    the static part (Q, A, A' and the signed regularization) plus a linear
+    map of the scaling D: row k of G adds G[k,i] G[k,j] D[k] to (i, j).  Each
+    iteration refreshes only the values of one CSC matrix.
     """
 
     def __init__(self, Q: sp.csr_matrix, A: sp.csr_matrix, G: sp.csr_matrix):
-        n, m_eq, m_in = Q.shape[0], A.shape[0], G.shape[0]
-        size = n + m_eq
-        Qc, Ac = Q.tocoo(), A.tocoo()
-        diag = np.arange(size)
-        reg = np.where(diag < n, _IPM_REG, -_IPM_REG)
+        n, m_in = Q.shape[0], G.shape[0]
         # every (a, b) pair of stored entries within one row of G, row-major
         counts = np.diff(G.indptr)
         pairs = counts ** 2
@@ -369,21 +352,11 @@ class _NewtonKkt:
         ea = G.indptr[g_row] + k // width
         eb = G.indptr[g_row] + k % width
 
-        rows = np.concatenate([Qc.row, Ac.col, Ac.row + n, diag, G.indices[ea]])
-        cols = np.concatenate([Qc.col, Ac.row + n, Ac.col, diag, G.indices[eb]])
-        static = np.concatenate([Qc.data, Ac.data, Ac.data, reg])
-        # column-major keys give CSC order with sorted row indices
-        keys, slot = np.unique(cols.astype(np.int64) * size + rows,
-                               return_inverse=True)
-        nnz, n_static = len(keys), len(static)
-        self._static = np.bincount(slot[:n_static], weights=static, minlength=nnz)
-        self._scaling = sp.csr_matrix(
-            (G.data[ea] * G.data[eb], (slot[n_static:], g_row)), shape=(nnz, m_in))
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys // size, minlength=size))])
-        self._K = sp.csc_matrix(
-            (self._static.copy(), keys % size, indptr), shape=(size, size))
-        self._K.has_canonical_format = True
+        self._K, diag, pair = _kkt_matrix(Q, A, G, extra=(G.indices[ea], G.indices[eb]))
+        self._static = self._K.data.copy()
+        self._static[diag] += np.where(np.arange(len(diag)) < n, _IPM_REG, -_IPM_REG)
+        self._scaling = sp.csr_matrix((G.data[ea] * G.data[eb], (pair, g_row)),
+                                      shape=(self._K.nnz, m_in))
 
     def matrix(self, D: np.ndarray) -> sp.csc_matrix:
         """The Newton matrix at scaling D (the same object, values refreshed)."""
@@ -408,7 +381,7 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
     red = pre.reduced
     n, m_eq, m_in = red.num_vars, red.num_eq, red.num_in
     try:
-        u = _least_norm_start(red)
+        u = _least_norm_start(red, tolerance)
     except SingularKktError:  # inconsistent equalities
         u = None
     if pre.infeasible or u is None:
@@ -500,83 +473,83 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
         z = np.maximum(z + alpha * dz, 1e-300)
         s = np.maximum(s + alpha * ds, 1e-300)
 
+    rounds = 0
     if status in (QpStatus.OPTIMAL, QpStatus.MAX_ITER) and best_res < np.inf:
         u, y, z = best
-        u, y, z, best_res = _polish(red, u, y, z, best_res)
+        u, y, z, best_res, rounds = _polish(red, u, y, z, best_res)
         if best_res <= tolerance:
             status = QpStatus.OPTIMAL
     mu_full = z if status != QpStatus.INFEASIBLE else np.zeros(m_in)
     u_f, y_f = pre.expand(u, y, mu_full)
-    return _finish(problem, u_f, y_f, mu_full, status, it, tolerance)
+    return _finish(problem, u_f, y_f, mu_full, status, it, tolerance, rounds)
 
 
 def _polish(red: QpProblem, u, y, z, res):
     """Active-set cleanup of the interior-point iterate.
 
     Solves the equality-constrained KKT system on the constraints the
-    iterate marks active, then refines the set for a few rounds (drop
-    negative-dual rows, add violated rows).  The best candidate by KKT
-    residual wins; the incoming iterate is kept if nothing improves on it.
+    iterate marks active, refined from the iterate (u, y, z[rows]).  When
+    those rows are dependent (a floor cap binding with all its zone caps),
+    the multipliers keep the interior point's positive split, so one round
+    usually suffices; otherwise the set changes (drop negative-dual rows,
+    add violated rows) for up to 12 rounds.  Returns the best candidate by
+    KKT residual, or the incoming iterate, and the number of rounds.
     """
     n, m_eq = red.num_vars, red.num_eq
     slack = red.h - red.G @ u
     act = set(np.flatnonzero(z > np.maximum(slack, 1e-12)).tolist())
     best = (u, y, z, res)
-    for _ in range(12):
-        rows = sorted(act)
-        K = _kkt_matrix(red.Q, red.A, red.G[rows])
+    for rounds in range(1, 13):
+        rows = np.array(sorted(act), dtype=int)
         rhs = np.concatenate([-red.q, red.b, red.h[rows]])
         try:
-            sol = _solve_kkt(K, rhs, n)
+            sol = _solve_kkt(red.Q, red.A, red.G, rhs, rows,
+                             np.concatenate([u, y, z[rows]]))
         except SingularKktError:
             # dependent actives with inconsistent right-hand sides (a floor
             # cap plus every one of its zone caps): prune the weakest active
-            if not rows:
+            if not rows.size:
                 break
-            act.discard(min(rows, key=lambda i: z[i]))
+            act.discard(int(rows[np.argmin(z[rows])]))
             continue
-        u2 = sol[:n]
-        y2 = sol[n:n + m_eq]
-        duals = sol[n + m_eq:]
+        u2, y2, duals = sol[:n], sol[n:n + m_eq], sol[n + m_eq:]
         z2 = np.zeros(red.num_in)
         z2[rows] = np.maximum(duals, 0.0)
         res2 = kkt_residual(red, QpSolution(u2, y2, z2, 0.0, QpStatus.OPTIMAL, 0.0))
         if res2 < best[3]:
             best = (u2, y2, z2, res2)
-        negative = [rows[k] for k in np.flatnonzero(duals < -1e-10)]
-        violated = np.flatnonzero(red.G @ u2 - red.h > 1e-10)
-        changed = False
-        for i in negative:
-            act.discard(i)
-            changed = True
-        for i in violated:
-            if i not in act:
-                act.add(int(i))
-                changed = True
-        if not changed:
+        negative = set(rows[duals < -1e-10].tolist())
+        violated = set(np.flatnonzero(red.G @ u2 - red.h > 1e-10).tolist())
+        if (act - negative) | violated == act:
             break
-    return best
+        act = (act - negative) | violated
+    return (*best, rounds)
 
 
 def _step_length(s, ds, z, dz) -> float:
-    alpha = 1.0
-    neg = ds < 0
-    if neg.any():
-        alpha = min(alpha, float((-s[neg] / ds[neg]).min()))
-    neg = dz < 0
-    if neg.any():
-        alpha = min(alpha, float((-z[neg] / dz[neg]).min()))
-    return alpha
+    """The largest step in (0, 1] keeping s + alpha ds and z + alpha dz >= 0."""
+    ratios = [-v[d < 0] / d[d < 0] for v, d in ((s, ds), (z, dz))]
+    return float(min([1.0, *(r.min() for r in ratios if r.size)]))
 
 
-def _least_norm_start(red: QpProblem) -> np.ndarray:
+def _least_norm_start(red: QpProblem, tolerance: float) -> np.ndarray:
     """The least-norm solution of Au = b.  Raises SingularKktError when the
-    equalities are inconsistent."""
+    equalities are inconsistent: the KKT solve fails, or the start leaves
+    |Au - b|_inf above ``tolerance * max(1, |b|_inf)``.  Consistent systems
+    leave round-off that grows with |b| (at most 5e-16 |b|_inf on scheduler
+    and random small systems), hence the relative factor, many orders below
+    any tolerance; a contradiction e between two copies of a row leaves e/2,
+    which no point improves on, so it is certified here instead of after the
+    whole interior-point run ends in MAX_ITER.
+    """
     n = red.num_vars
     if red.num_eq == 0:
         return np.zeros(n)
     rhs = np.concatenate([np.zeros(n), red.b])
-    return _solve_kkt(_kkt_matrix(sp.identity(n), red.A), rhs, n)[:n]
+    u = _solve_kkt(sp.identity(n, format="csr"), red.A, red.G, rhs)[:n]
+    if np.abs(red.A @ u - red.b).max() > tolerance * max(1.0, np.abs(red.b).max()):
+        raise SingularKktError("equality constraints are inconsistent")
+    return u
 
 
 def _solve_equality_qp(red: QpProblem, tolerance: float):
@@ -586,7 +559,7 @@ def _solve_equality_qp(red: QpProblem, tolerance: float):
     scale = max(1.0, float(np.abs(red.q).max()),
                 float(np.abs(red.b).max()) if m else 0.0)
     try:
-        sol = _solve_kkt(_kkt_matrix(red.Q, red.A), np.concatenate([-red.q, red.b]), n)
+        sol = _solve_kkt(red.Q, red.A, red.G, np.concatenate([-red.q, red.b]))
     except SingularKktError:
         # consistent equalities and no KKT point: a descent ray exists
         return np.zeros(n), np.zeros(m), QpStatus.UNBOUNDED, 1
@@ -597,12 +570,13 @@ def _solve_equality_qp(red: QpProblem, tolerance: float):
     return u, y, QpStatus.OPTIMAL if ok else QpStatus.MAX_ITER, 1
 
 
-def _finish(problem: QpProblem, u, y, mu, status, iters, tolerance) -> QpSolution:
-    sol = QpSolution(u, y, mu, problem.objective(u), status, 0.0, iters)
+def _finish(problem: QpProblem, u, y, mu, status, iters, tolerance,
+            polish_rounds=0) -> QpSolution:
+    sol = QpSolution(u, y, mu, problem.objective(u), status, 0.0, iters, polish_rounds)
     res = kkt_residual(problem, sol)
     if status == QpStatus.OPTIMAL and res > tolerance * 10:
         status = QpStatus.MAX_ITER
-    return QpSolution(u, y, mu, problem.objective(u), status, res, iters)
+    return replace(sol, status=status, kkt_residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +624,8 @@ def backward(problem: QpProblem, solution: QpSolution,
         act = np.zeros(0, dtype=int)
 
     m_act = len(act)
-    K = _kkt_matrix(problem.Q, problem.A, problem.G[act])
-    v = _solve_kkt(K, np.concatenate([grad_primal, np.zeros(m_eq + m_act)]), n)
+    v = _solve_kkt(problem.Q, problem.A, problem.G,
+                   np.concatenate([grad_primal, np.zeros(m_eq + m_act)]), act)
 
     v_u = v[:n]
     v_y = v[n:n + m_eq]
@@ -669,32 +643,61 @@ def backward(problem: QpProblem, solution: QpSolution,
     return SolutionSensitivity(grad_Q, grad_q, grad_A, grad_b, grad_G, grad_h)
 
 
-def _kkt_matrix(H, A: sp.csr_matrix, G_rows=None) -> sp.csc_matrix:
-    """The KKT matrix [[H, C'], [C, 0]] with constraint rows C = [A; G_rows]."""
-    C = A if G_rows is None else sp.vstack([A, G_rows], format="csr")
-    return sp.bmat([[H, C.T], [C, None]], format="csc")
+def _entries(M: sp.csr_matrix, rows) -> tuple:
+    """Row, column and value of each stored entry in rows ``rows`` of the
+    CSR matrix M, the rows numbered from 0 in the order given."""
+    counts = np.diff(M.indptr)[rows]
+    at = np.repeat(M.indptr[rows] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return np.repeat(np.arange(len(counts)), counts), M.indices[at], M.data[at]
 
 
-def _solve_kkt(K: sp.csc_matrix, rhs: np.ndarray, n_primal: int) -> np.ndarray:
-    """Solve a KKT system from ``_kkt_matrix``; its first ``n_primal`` rows
-    are the primal block.
-
-    A signed diagonal shift (+delta on the primal block, -delta on the
-    multiplier block) keeps the factorization structurally nonsingular even
-    with linearly dependent constraint rows; iterative refinement against the
-    unshifted system then removes the bias.  Raises SingularKktError only
-    when no shift level yields a consistent solve: inconsistent constraint
-    rows, or no stationary point.
+def _kkt_matrix(H, A, G, active=_NO_ENTRIES, extra=(_NO_ENTRIES, _NO_ENTRIES)):
+    """The matrix [[H, C'], [C, 0]] with C = [A; G[active]] (H, A, G in CSR)
+    as a CSC matrix with sorted indices and every diagonal entry stored, plus
+    stored zeros at the ``extra`` (rows, cols).  Also returns the data
+    indices of the diagonal and of each extra entry, for in-place updates.
     """
+    n, m_eq = H.shape[0], A.shape[0]
+    h_r, h_c, h_v = _entries(H, np.arange(n))
+    a_r, a_c, a_v = _entries(A, np.arange(m_eq))
+    g_r, g_c, g_v = _entries(G, active)
+    c_r, c_c, c_v = (np.concatenate(p) for p in ((a_r, g_r + m_eq), (a_c, g_c), (a_v, g_v)))
+    size = n + m_eq + len(active)
+    diag = np.arange(size)
+    rows = np.concatenate([h_r, c_c, c_r + n, diag, extra[0]])
+    cols = np.concatenate([h_c, c_r + n, c_c, diag, extra[1]])
+    vals = np.concatenate([h_v, c_v, c_v])
+    # column-major keys give CSC order with sorted row indices
+    keys, slot = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
+    data = np.bincount(slot[:len(vals)], weights=vals, minlength=len(keys))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // size, minlength=size))])
+    K = sp.csc_matrix((data, keys % size, indptr), shape=(size, size))
+    K.has_canonical_format = True
+    return K, slot[len(vals):len(vals) + size], slot[len(vals) + size:]
+
+
+def _solve_kkt(H, A, G, rhs: np.ndarray, active=_NO_ENTRIES,
+               v0: np.ndarray | None = None) -> np.ndarray:
+    """Solve [[H, C'], [C, 0]] v = rhs, C = [A; G[active]].
+
+    A signed shift (+delta on H's diagonal, -delta on the multipliers') written
+    into the stored diagonal keeps the factor nonsingular with dependent rows;
+    refinement against the unshifted matrix, from ``v0`` if given, removes its
+    bias.  Each step adds the shifted inverse of the residual, which barely
+    moves v along the null space, so dependent rows keep v0's multipliers.
+    Raises SingularKktError when no shift gives a consistent solve.
+    """
+    K, diag, _ = _kkt_matrix(H, A, G, active)
     scale = max(1.0, float(np.abs(rhs).max()))
-    sign = np.ones(K.shape[0])
-    sign[n_primal:] = -1.0
+    shift = np.where(np.arange(K.shape[0]) < H.shape[0], 1.0, -1.0)
+    shifted = K.copy()
     for delta in (_ADJOINT_REG, 1e-8, 1e-6):
+        shifted.data[diag] = K.data[diag] + delta * shift
         try:
-            factor = spla.splu(K + sp.diags(delta * sign, format="csc"))
+            factor = spla.splu(shifted)
         except RuntimeError:
             continue
-        v = factor.solve(rhs)
+        v = factor.solve(rhs) if v0 is None else v0 + factor.solve(rhs - K @ v0)
         for _ in range(5):
             if not np.all(np.isfinite(v)):
                 break
@@ -714,19 +717,14 @@ def backward_through_map(sensitivity: SolutionSensitivity,
     Returns dL/dtheta_raw = J' g where g gathers the sensitivity entry of
     every slot named by the map.
     """
-    cm = coefficient_jacobian
+    cm, s = coefficient_jacobian, sensitivity
+    grads = {"A": s.grad_A, "b": s.grad_b, "G": s.grad_G, "h": s.grad_h,
+             "Q": s.grad_Q, "q": s.grad_q}
     g = np.empty(len(cm.blocks))
-    lookup = {
-        "A": lambda r, c: sensitivity.grad_A[r, c],
-        "b": lambda r, c: sensitivity.grad_b[r],
-        "G": lambda r, c: sensitivity.grad_G[r, c],
-        "h": lambda r, c: sensitivity.grad_h[r],
-        "Q": lambda r, c: sensitivity.grad_Q[r, c],
-        "q": lambda r, c: sensitivity.grad_q[r],
-    }
-    for k, code in enumerate(cm.blocks):
-        try:
-            g[k] = lookup[code](cm.rows[k], cm.cols[k])
-        except KeyError:
-            raise QpError(f"unknown block code {code!r}") from None
+    for code in np.unique(cm.blocks):
+        if code not in grads:
+            raise QpError(f"unknown block code {str(code)!r}")
+        at = cm.blocks == code
+        block = grads[code]
+        g[at] = block[cm.rows[at], cm.cols[at]] if block.ndim == 2 else block[cm.rows[at]]
     return np.asarray(cm.jacobian.T @ g).ravel()

@@ -1,14 +1,13 @@
 """Metric suites over scenario splits, model comparison and plot-data files.
 
 Everything lands as CSV/JSON under ``{run_id}/{split}/``; a verdict JSON
-summarizes the comparison flags for CI consumption.  Timing is reported in
-the metrics objects but kept out of the deterministic metric files.
+summarizes the comparison flags for CI consumption.  Wall times stay out of
+the deterministic metric files; the CLI keeps them in ``timings.json``.
 """
 from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -33,7 +32,6 @@ class MetricsReport:
     expected_cost: float
     expost_cost: float
     cost_error: float
-    wall_time: float
     num_scenarios: int
     num_failed: int = 0
     unweighted: dict = field(default_factory=dict)
@@ -43,11 +41,8 @@ class MetricsReport:
         if gap > 1e-9 * max(1.0, abs(self.expost_cost)):
             raise ValueError("cost_error must equal expost_cost - expected_cost")
 
-    def to_json(self, path: str | Path, include_timing: bool = False) -> None:
-        doc = asdict(self)
-        if not include_timing:
-            doc.pop("wall_time")
-        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+    def to_json(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(asdict(self), indent=1, sort_keys=True))
 
 
 def evaluate_model(theta: ThetaParams, scenarios: list[DayScenario], plant,
@@ -59,7 +54,6 @@ def evaluate_model(theta: ThetaParams, scenarios: list[DayScenario], plant,
     ``num_failed``."""
     if not scenarios:
         raise ValueError("scenarios must be nonempty")
-    start = time.perf_counter()
     pairs = []
     failed = 0
     plant = learning._as_plant(plant)
@@ -82,7 +76,6 @@ def evaluate_model(theta: ThetaParams, scenarios: list[DayScenario], plant,
     uniform = [(DayScenario(s.ambient, s.initial_tau, s.label, 1.0 / len(flat), s.day_index), r, t)
                for s, r, t in flat]
     unweighted = summarize(uniform, tariff, config.topology)
-    elapsed = time.perf_counter() - start
     return MetricsReport(
         split=split,
         hier_loss=stats["hier_loss"],
@@ -93,7 +86,6 @@ def evaluate_model(theta: ThetaParams, scenarios: list[DayScenario], plant,
         expected_cost=stats["expected_cost"],
         expost_cost=stats["expost_cost"],
         cost_error=stats["expost_cost"] - stats["expected_cost"],
-        wall_time=elapsed,
         num_scenarios=len(pairs),
         num_failed=failed,
         unweighted=unweighted,
@@ -107,7 +99,7 @@ class ComparisonFlags:
 
     dfl_hier_loss_better: bool
     dfl_cost_error_better: bool
-    dfl_expost_cost_leq: bool
+    dfl_expost_cost_better: bool
 
 
 def compare(report_ito: MetricsReport, report_dfl: MetricsReport) -> dict:
@@ -129,7 +121,7 @@ def compare(report_ito: MetricsReport, report_dfl: MetricsReport) -> dict:
     flags = ComparisonFlags(
         dfl_hier_loss_better=bool(report_dfl.hier_loss < report_ito.hier_loss),
         dfl_cost_error_better=bool(abs(report_dfl.cost_error) < abs(report_ito.cost_error)),
-        dfl_expost_cost_leq=bool(report_dfl.expost_cost < report_ito.expost_cost),
+        dfl_expost_cost_better=bool(report_dfl.expost_cost < report_ito.expost_cost),
     )
     return {"table": table, "flags": asdict(flags),
             "splits": {"ito": report_ito.split, "dfl": report_dfl.split}}

@@ -64,7 +64,25 @@ class TestStageComposability:
         hot = json.loads((run_dirs[0] / "hot_year" / "comparison.json").read_text())
         assert set(hot["flags"]) == {"dfl_hier_loss_better",
                                      "dfl_cost_error_better",
-                                     "dfl_expost_cost_leq"}
+                                     "dfl_expost_cost_better"}
+
+
+class TestTimings:
+    def test_stage_commands_merge_their_times(self, pipeline_dir):
+        timings = json.loads((pipeline_dir / "timings.json").read_text())
+        assert set(timings) == {"synth-weather", "cluster", "baseline-rollout",
+                                "pretrain", "train-dfl", "evaluate-ito-test",
+                                "evaluate-dfl-test", "stress-hot-year"}
+        assert all(t >= 0.0 for t in timings.values())
+
+    def test_full_run_times_every_stage(self, tmp_path):
+        result = invoke(["full-run", "--out", str(tmp_path)] + ARGS)
+        assert result.exit_code == 0, result.output
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert set(timings) == {"synth-weather", "cluster", "baseline-rollout",
+                                "pretrain", "train-dfl", "compare-test",
+                                "stress-hot-year"}
+        assert all(t >= 0.0 for t in timings.values())
 
 
 class TestErrors:

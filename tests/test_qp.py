@@ -90,6 +90,21 @@ class TestSolve:
         assert p.num_eq > 400 and not p.num_in
         assert qp.solve(p).status == qp.QpStatus.INFEASIBLE
 
+    @pytest.mark.parametrize("inequalities", [True, False])
+    @pytest.mark.parametrize("extra_b0", [1e-6, 1e-7])
+    def test_small_contradiction_detected(self, extra_b0, inequalities):
+        # the least-norm start leaves extra_b0 / 2 in Au - b, above the
+        # default tolerance of 1e-8, though the whole KKT solve is accurate
+        # to 1e-6 of |rhs|
+        p = self.chain_with_copied_row(extra_b0, inequalities)
+        assert qp.solve(p).status == qp.QpStatus.INFEASIBLE
+
+    def test_negligible_contradiction_solved(self):
+        p = self.chain_with_copied_row(1e-12, inequalities=True)
+        s = qp.solve(p)
+        assert s.status == qp.QpStatus.OPTIMAL
+        assert s.kkt_residual <= 1e-8
+
     def test_large_redundant_equality_row_solved(self):
         p = self.chain_with_copied_row(0.0, inequalities=True)
         s = qp.solve(p)
@@ -150,6 +165,70 @@ class TestNewtonKkt:
             assert K.format == "csc"
             np.testing.assert_allclose(K.toarray(), ref.toarray(),
                                        rtol=1e-13, atol=1e-12)
+
+
+class TestKktMatrix:
+    @pytest.mark.parametrize("H", ["Q", "I"])
+    @pytest.mark.parametrize("m_eq,active", [(2, [0, 2, 3]), (0, [1, 3]), (2, []),
+                                             (2, [2])])
+    def test_matches_direct_assembly(self, rng, H, m_eq, active):
+        # against sp.bmat: with and without A rows and G rows, and with an
+        # all-zero G row (row 2); every diagonal entry must be stored
+        import scipy.sparse as sp
+        n, m_in = 6, 5
+        p = random_strictly_convex_qp(rng, n, m_eq, m_in)
+        G = p.G.toarray()
+        G[2] = 0.0
+        G = sp.csr_matrix(G)
+        Hm = p.Q if H == "Q" else sp.identity(n, format="csr")
+        C = sp.vstack([p.A, G[active]], format="csr")
+        ref = sp.bmat([[Hm, C.T], [C, sp.csr_matrix((C.shape[0], C.shape[0]))]])
+        K, diag, extra = qp._kkt_matrix(Hm, p.A, G, np.array(active, dtype=int))
+        assert K.format == "csc" and K.has_sorted_indices
+        np.testing.assert_array_equal(K.toarray(), ref.toarray())
+        np.testing.assert_array_equal(
+            K.indices[diag], np.arange(n + m_eq + len(active)))
+        assert extra.size == 0
+
+
+class TestPolish:
+    @staticmethod
+    def saturated_schedule_qp():
+        # a cold day on one floor of five zones whose floor heating cap equals
+        # the sum of its zone caps: every hour the floor cap binds together
+        # with all five zone caps, so the active rows are dependent
+        from dflsched import rc, scheduler
+        from dflsched.scenarios import DayScenario
+        topo = rc.default_topology(5)
+        config = scheduler.default_schedule_config(topo, zone_cap_h=2.0,
+                                                   floor_cap_h=10.0)
+        hours = np.arange(24)
+        scenario = DayScenario(
+            ambient=-10.0 + 3.0 * np.sin(2 * np.pi * (hours - 9) / 24),
+            initial_tau=np.full(5, 17.0), label=0, weight=1.0)
+        problem, idx = scheduler.assemble(rc.default_theta(5, 1.0, seed=7), scenario,
+                                          scheduler.default_tariff(24), config)
+        return problem, idx
+
+    def test_dependent_caps_polish_in_one_round(self, monkeypatch):
+        p, idx = self.saturated_schedule_qp()
+        s = qp.solve(p)
+        assert s.status == qp.QpStatus.OPTIMAL
+        assert s.kkt_residual <= 1e-12
+        assert s.polish_rounds == 1
+        assert np.all(s.dual_in >= 0.0)
+        np.testing.assert_allclose(s.primal[idx.p_h], 2.0, atol=1e-9)
+
+        # refinement from zero instead of from the interior-point iterate
+        # splits the dependent multipliers arbitrarily, and the polish loops
+        cold_solve_kkt = qp._solve_kkt
+        monkeypatch.setattr(
+            qp, "_solve_kkt", lambda H, A, G, rhs, active=qp._NO_ENTRIES, v0=None:
+            cold_solve_kkt(H, A, G, rhs, active))
+        cold = qp.solve(p)
+        assert cold.status == qp.QpStatus.OPTIMAL
+        assert cold.polish_rounds > 1
+        np.testing.assert_allclose(s.primal, cold.primal, rtol=0, atol=1e-9)
 
 
 class TestKktResidual:

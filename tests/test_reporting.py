@@ -52,8 +52,7 @@ class TestEvaluateModel:
 
     def test_cost_error_identity_enforced(self):
         with pytest.raises(ValueError):
-            reporting.MetricsReport("test", 1, 1, 1, 0, 1, 10.0, 20.0, 5.0,
-                                    0.0, 1)
+            reporting.MetricsReport("test", 1, 1, 1, 0, 1, 10.0, 20.0, 5.0, 1)
 
     def test_hand_built_single_zone_spreadsheet(self, rng):
         """Metrics match a direct re-accumulation for a known plant response."""
@@ -91,7 +90,7 @@ class TestCompare:
     def base_report(self, **overrides):
         fields = dict(split="test", hier_loss=100.0, mae=2.0, mse=8.0,
                       err_mean=-1.0, err_std=2.0, expected_cost=80.0,
-                      expost_cost=400.0, cost_error=320.0, wall_time=1.0,
+                      expost_cost=400.0, cost_error=320.0,
                       num_scenarios=10)
         fields.update(overrides)
         return reporting.MetricsReport(**fields)
@@ -102,7 +101,7 @@ class TestCompare:
         out = reporting.compare(a, b)
         assert out["flags"] == {"dfl_hier_loss_better": False,
                                 "dfl_cost_error_better": False,
-                                "dfl_expost_cost_leq": False}
+                                "dfl_expost_cost_better": False}
         assert out["table"]["hier_loss"]["ratio"] == pytest.approx(1.0)
 
     def test_paper_shaped_improvement_raises_flags(self):
@@ -114,7 +113,7 @@ class TestCompare:
         out = reporting.compare(ito, dfl)
         assert out["flags"] == {"dfl_hier_loss_better": True,
                                 "dfl_cost_error_better": True,
-                                "dfl_expost_cost_leq": True}
+                                "dfl_expost_cost_better": True}
         assert out["table"]["hier_loss"]["ratio"] == pytest.approx(253 / 652)
 
     def test_verdict_file(self, tmp_path):
