@@ -14,7 +14,6 @@ DFLSCHED_OUT, when set, is used instead of ``--out``.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -206,15 +205,17 @@ def write_stage_manifest(out: Path, stage: str, cfg: dict,
 
 
 def write_transitions_csv(ds: TransitionDataset, path: Path) -> None:
+    """One row per (step, zone): floats in shortest round-trip ``repr`` form,
+    CRLF line endings (the ``csv`` module's default dialect).  Rows stream
+    step by step through the file buffer; the whole file as one string would
+    add ~20 MB to peak memory at 5 zones."""
     with open(path, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["t", "zone", "tau", "tau_amb", "p_h", "p_c", "tau_next"])
-        n, z = ds.tau.shape
-        for t in range(n):
-            for zi in range(z):
-                writer.writerow([t, zi, repr(float(ds.tau[t, zi])), repr(float(ds.tau_amb[t])),
-                                 repr(float(ds.p_h[t, zi])), repr(float(ds.p_c[t, zi])),
-                                 repr(float(ds.tau_next[t, zi]))])
+        fp.write("t,zone,tau,tau_amb,p_h,p_c,tau_next\r\n")
+        for t, amb in enumerate(ds.tau_amb.tolist()):
+            rows = zip(ds.tau[t].tolist(), ds.p_h[t].tolist(), ds.p_c[t].tolist(),
+                       ds.tau_next[t].tolist())
+            fp.writelines(f"{t},{zi},{tau!r},{amb!r},{p_h!r},{p_c!r},{tau_next!r}\r\n"
+                          for zi, (tau, p_h, p_c, tau_next) in enumerate(rows))
 
 
 def read_transitions_csv(path: Path, dt: float) -> TransitionDataset:

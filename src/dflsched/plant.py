@@ -10,9 +10,7 @@ it from the affine RC model the optimizer learns.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -461,20 +459,3 @@ def warmup_initial_tau(spec: PlantSpec, preceding_day_weather: np.ndarray,
     run = _drive(spec, np.full(z, 20.0), weather, band,
                  np.random.default_rng(seed), dt)
     return run.tau[-1].copy()
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def export_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
-    """Columns: t, zone, tau_obs (end of step), p_hvac_obs."""
-    t_h, z_n = trace.p_hvac_obs.shape
-    with open(path, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["t", "zone", "tau_obs", "p_hvac_obs"])
-        for t in range(t_h):
-            for z in range(z_n):
-                writer.writerow([t, z, repr(float(trace.tau_obs[t + 1, z])),
-                                 repr(float(trace.p_hvac_obs[t, z]))])
-

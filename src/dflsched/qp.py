@@ -11,7 +11,9 @@ method; robust duals are needed downstream, which rules out active-set
 methods with sloppy multiplier recovery.  ``backward`` turns a loss gradient
 with respect to the primal solution into gradients with respect to every
 data block (Q, q, A, b, G, h) by solving one adjoint system on the
-active-set-reduced KKT Jacobian.
+active-set-reduced KKT Jacobian.  There is no presolve: the start, the
+iterations, the polish and the adjoint all work on the caller's problem as
+posed, so a singleton row (an initial condition) keeps its variable and dual.
 
 Every matrix is one KKT pattern [[H, C'], [C, 0]] from ``_kkt_matrix``, a CSC
 matrix with its diagonal stored: the Newton matrix (``_NewtonKkt``, values
@@ -221,111 +223,6 @@ def _residual_norm(stat: np.ndarray, r_p: np.ndarray, gap: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# presolve
-
-
-class _Presolve:
-    """Removes variables fixed by singleton equality rows, and rows left
-    empty by them.  Keeps enough bookkeeping to reconstruct the full
-    primal/dual solution afterwards.  Dependent rows stay: the KKT solves
-    absorb consistent ones, and the least-norm start certifies inconsistent
-    ones."""
-
-    def __init__(self, problem: QpProblem):
-        self.orig = problem
-        n, m_eq = problem.num_vars, problem.num_eq
-        self.keep_var = np.ones(n, dtype=bool)
-        self.keep_row = np.ones(m_eq, dtype=bool)
-        self.fixed_value = np.zeros(n)
-        self.fixed_order: list[tuple[int, int]] = []  # (var, row), in fix order
-        self.infeasible = False
-
-        b_eff = problem.b.copy()
-        if m_eq:
-            b_scale = max(1.0, float(np.abs(b_eff).max()))
-            A_work = problem.A.copy().tocsr()
-            for _ in range(20):  # sweeps; terminates when no singleton remains
-                A_work.eliminate_zeros()
-                counts = np.diff(A_work.indptr)
-                singles = np.flatnonzero((counts == 1) & self.keep_row)
-                if singles.size == 0:
-                    break
-                fixed_cols = []
-                for i in singles:
-                    j = A_work.indices[A_work.indptr[i]]
-                    coef = A_work.data[A_work.indptr[i]]
-                    if not self.keep_var[j]:
-                        continue  # another row in this sweep fixed it first
-                    val = b_eff[i] / coef
-                    self.fixed_value[j] = val
-                    self.keep_var[j] = False
-                    self.keep_row[i] = False
-                    self.fixed_order.append((j, i))
-                    fixed_cols.append(j)
-                if not fixed_cols:
-                    break
-                cols = np.array(fixed_cols)
-                b_eff = b_eff - np.asarray(
-                    problem.A[:, cols] @ self.fixed_value[cols]).ravel()
-                b_eff[~self.keep_row] = 0.0
-                zero_out = sp.diags(self.keep_var.astype(float))
-                A_work = (problem.A @ zero_out).tocsr()
-            # rows that lost every variable must now read 0 = 0
-            A_work.eliminate_zeros()
-            counts = np.diff(A_work.indptr)
-            empty = np.flatnonzero((counts == 0) & self.keep_row)
-            for i in empty:
-                if abs(b_eff[i]) > 1e-9 * b_scale:
-                    self.infeasible = True
-                self.keep_row[i] = False
-        self.b_eff = b_eff
-
-        vidx = np.flatnonzero(self.keep_var)
-        ridx = np.flatnonzero(self.keep_row)
-        fidx = np.flatnonzero(~self.keep_var)
-        Q_rr = problem.Q[np.ix_(vidx, vidx)]
-        q_red = problem.q[vidx].copy()
-        if fidx.size:
-            q_red += np.asarray(problem.Q[np.ix_(vidx, fidx)]
-                                @ self.fixed_value[fidx]).ravel()
-        A_red = problem.A[np.ix_(ridx, vidx)] if m_eq else None
-        b_red = self.b_eff[ridx] if m_eq else None
-        if problem.num_in:
-            G_red = problem.G[:, vidx]
-            h_red = problem.h.copy()
-            if fidx.size:
-                h_red -= np.asarray(problem.G[:, fidx] @ self.fixed_value[fidx]).ravel()
-        else:
-            G_red, h_red = None, None
-
-        self.reduced = QpProblem(len(vidx), Q_rr, q_red, A_red, b_red, G_red, h_red)
-
-    def expand(self, u_r: np.ndarray, y_r: np.ndarray,
-               mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Reconstruct the full primal and equality duals.
-
-        Singleton-row duals come from the stationarity condition of the
-        variable each row fixed, recovered in reverse elimination order;
-        rows left empty keep a zero dual.
-        """
-        p = self.orig
-        u = self.fixed_value.copy()
-        u[np.flatnonzero(self.keep_var)] = u_r
-        y = np.zeros(p.num_eq)
-        y[np.flatnonzero(self.keep_row)] = y_r
-        if self.fixed_order:
-            A_csc = p.A.tocsc()
-            G_csc = p.G.tocsc() if p.num_in else None
-            for j, i in reversed(self.fixed_order):
-                r_j = (p.Q.getrow(j) @ u)[0] + p.q[j]
-                r_j += (A_csc.getcol(j).T @ y)[0]
-                if G_csc is not None:
-                    r_j += (G_csc.getcol(j).T @ mu)[0]
-                y[i] = -r_j / p.A[i, j]
-        return u, y
-
-
-# ---------------------------------------------------------------------------
 # interior-point solver
 
 
@@ -368,44 +265,36 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
     """Solve the QP with a Mehrotra predictor-corrector interior-point method.
 
     When the returned status is OPTIMAL the solution's ``kkt_residual`` is at
-    most ``tolerance``.  Inconsistent equalities are certified INFEASIBLE by
-    presolve or by the least-norm start, at every problem size; problems
-    without inequalities are certified UNBOUNDED by their KKT solve.
+    most ``tolerance``.  Every step works on ``problem`` as posed: singleton
+    and empty equality rows are ordinary rows.  Inconsistent equalities are
+    certified INFEASIBLE by the least-norm start, at every problem size;
+    problems without inequalities are certified UNBOUNDED by their KKT solve.
     Otherwise INFEASIBLE and UNBOUNDED are detected from iterate divergence.
     """
     if tolerance <= 0:
         raise QpError("tolerance must be positive")
     problem.validate()
 
-    pre = _Presolve(problem)
-    red = pre.reduced
-    n, m_eq, m_in = red.num_vars, red.num_eq, red.num_in
+    n, m_eq, m_in = problem.num_vars, problem.num_eq, problem.num_in
     try:
-        u = _least_norm_start(red, tolerance)
+        u = _least_norm_start(problem, tolerance)
     except SingularKktError:  # inconsistent equalities
-        u = None
-    if pre.infeasible or u is None:
-        return _finish(problem, np.zeros(problem.num_vars), np.zeros(problem.num_eq),
-                       np.zeros(problem.num_in), QpStatus.INFEASIBLE, 0, tolerance)
-
-    if n == 0:
-        u, y = pre.expand(np.zeros(0), np.zeros(m_eq), np.zeros(problem.num_in))
-        return _finish(problem, u, y, np.zeros(problem.num_in),
+        return _finish(problem, np.zeros(n), np.zeros(m_eq), np.zeros(m_in),
+                       QpStatus.INFEASIBLE, 0, tolerance)
+    if n == 0:  # nothing to optimize: _finish grades the empty point against h
+        return _finish(problem, u, np.zeros(m_eq), np.zeros(m_in),
                        QpStatus.OPTIMAL, 0, tolerance)
-
     if m_in == 0:
-        u_r, y_r, status, iters = _solve_equality_qp(red, tolerance)
-        mu = np.zeros(problem.num_in)
-        u, y = pre.expand(u_r, y_r, mu)
-        return _finish(problem, u, y, mu, status, iters, tolerance)
+        u, y, status, iters = _solve_equality_qp(problem, tolerance)
+        return _finish(problem, u, y, np.zeros(0), status, iters, tolerance)
 
-    Q, q, A, b, G, h = red.Q, red.q, red.A, red.b, red.G, red.h
+    Q, q, A, b, G, h = problem.Q, problem.q, problem.A, problem.b, problem.G, problem.h
     AT, GT = A.T, G.T
     kkt = _NewtonKkt(Q, A, G)
 
     y = np.zeros(m_eq)
     gap = h - G @ u
-    shift = max(0.0, 1.5 * float(-gap.min())) if gap.size else 0.0
+    shift = max(0.0, 1.5 * float(-gap.min()))
     s = gap + shift + 1.0
     z = np.ones(m_in)
 
@@ -415,8 +304,8 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
     best = (u.copy(), y.copy(), z.copy())
     for it in range(1, max_iter + 1):
         Gu = G @ u
-        r_d = Q @ u + q + (AT @ y if m_eq else 0.0) + GT @ z
-        r_p = (A @ u - b) if m_eq else np.zeros(0)
+        r_d = Q @ u + q + AT @ y + GT @ z
+        r_p = A @ u - b
         r_g = Gu + s - h
         mu_gap = float(s @ z) / m_in
 
@@ -436,7 +325,7 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
         big = max(float(np.abs(u).max()), float(np.abs(z).max()),
                   float(np.abs(y).max()) if m_eq else 0.0)
         if big > 1e10 or not np.isfinite(big):
-            obj = red.objective(np.nan_to_num(u, nan=0.0, posinf=0.0, neginf=0.0))
+            obj = problem.objective(np.nan_to_num(u, nan=0.0, posinf=0.0, neginf=0.0))
             status = (QpStatus.UNBOUNDED
                       if float(np.abs(u).max()) > 1e8 and obj < -1e10
                       else QpStatus.INFEASIBLE)
@@ -451,8 +340,7 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
 
         def newton(r_sz):
             rhs_u = -(r_d + GT @ (D * r_g - r_sz / s_safe))
-            rhs = np.concatenate([rhs_u, -r_p]) if m_eq else rhs_u
-            sol = factor.solve(rhs)
+            sol = factor.solve(np.concatenate([rhs_u, -r_p]))
             du, dy = sol[:n], sol[n:]
             dz = D * (G @ du + r_g) - r_sz / s_safe
             ds = -r_g - G @ du
@@ -468,23 +356,21 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
         alpha = min(1.0, 0.99 * _step_length(s, ds, z, dz))
 
         u = u + alpha * du
-        if m_eq:
-            y = y + alpha * dy
+        y = y + alpha * dy
         z = np.maximum(z + alpha * dz, 1e-300)
         s = np.maximum(s + alpha * ds, 1e-300)
 
     rounds = 0
     if status in (QpStatus.OPTIMAL, QpStatus.MAX_ITER) and best_res < np.inf:
         u, y, z = best
-        u, y, z, best_res, rounds = _polish(red, u, y, z, best_res)
+        u, y, z, best_res, rounds = _polish(problem, u, y, z, best_res)
         if best_res <= tolerance:
             status = QpStatus.OPTIMAL
-    mu_full = z if status != QpStatus.INFEASIBLE else np.zeros(m_in)
-    u_f, y_f = pre.expand(u, y, mu_full)
-    return _finish(problem, u_f, y_f, mu_full, status, it, tolerance, rounds)
+    mu = z if status != QpStatus.INFEASIBLE else np.zeros(m_in)
+    return _finish(problem, u, y, mu, status, it, tolerance, rounds)
 
 
-def _polish(red: QpProblem, u, y, z, res):
+def _polish(p: QpProblem, u, y, z, res):
     """Active-set cleanup of the interior-point iterate.
 
     Solves the equality-constrained KKT system on the constraints the
@@ -495,15 +381,15 @@ def _polish(red: QpProblem, u, y, z, res):
     add violated rows) for up to 12 rounds.  Returns the best candidate by
     KKT residual, or the incoming iterate, and the number of rounds.
     """
-    n, m_eq = red.num_vars, red.num_eq
-    slack = red.h - red.G @ u
+    n, m_eq = p.num_vars, p.num_eq
+    slack = p.h - p.G @ u
     act = set(np.flatnonzero(z > np.maximum(slack, 1e-12)).tolist())
     best = (u, y, z, res)
     for rounds in range(1, 13):
         rows = np.array(sorted(act), dtype=int)
-        rhs = np.concatenate([-red.q, red.b, red.h[rows]])
+        rhs = np.concatenate([-p.q, p.b, p.h[rows]])
         try:
-            sol = _solve_kkt(red.Q, red.A, red.G, rhs, rows,
+            sol = _solve_kkt(p.Q, p.A, p.G, rhs, rows,
                              np.concatenate([u, y, z[rows]]))
         except SingularKktError:
             # dependent actives with inconsistent right-hand sides (a floor
@@ -513,13 +399,13 @@ def _polish(red: QpProblem, u, y, z, res):
             act.discard(int(rows[np.argmin(z[rows])]))
             continue
         u2, y2, duals = sol[:n], sol[n:n + m_eq], sol[n + m_eq:]
-        z2 = np.zeros(red.num_in)
+        z2 = np.zeros(p.num_in)
         z2[rows] = np.maximum(duals, 0.0)
-        res2 = kkt_residual(red, QpSolution(u2, y2, z2, 0.0, QpStatus.OPTIMAL, 0.0))
+        res2 = kkt_residual(p, QpSolution(u2, y2, z2, 0.0, QpStatus.OPTIMAL, 0.0))
         if res2 < best[3]:
             best = (u2, y2, z2, res2)
         negative = set(rows[duals < -1e-10].tolist())
-        violated = set(np.flatnonzero(red.G @ u2 - red.h > 1e-10).tolist())
+        violated = set(np.flatnonzero(p.G @ u2 - p.h > 1e-10).tolist())
         if (act - negative) | violated == act:
             break
         act = (act - negative) | violated
@@ -532,7 +418,7 @@ def _step_length(s, ds, z, dz) -> float:
     return float(min([1.0, *(r.min() for r in ratios if r.size)]))
 
 
-def _least_norm_start(red: QpProblem, tolerance: float) -> np.ndarray:
+def _least_norm_start(p: QpProblem, tolerance: float) -> np.ndarray:
     """The least-norm solution of Au = b.  Raises SingularKktError when the
     equalities are inconsistent: the KKT solve fails, or the start leaves
     |Au - b|_inf above ``tolerance * max(1, |b|_inf)``.  Consistent systems
@@ -542,29 +428,29 @@ def _least_norm_start(red: QpProblem, tolerance: float) -> np.ndarray:
     which no point improves on, so it is certified here instead of after the
     whole interior-point run ends in MAX_ITER.
     """
-    n = red.num_vars
-    if red.num_eq == 0:
+    n = p.num_vars
+    if p.num_eq == 0:
         return np.zeros(n)
-    rhs = np.concatenate([np.zeros(n), red.b])
-    u = _solve_kkt(sp.identity(n, format="csr"), red.A, red.G, rhs)[:n]
-    if np.abs(red.A @ u - red.b).max() > tolerance * max(1.0, np.abs(red.b).max()):
+    rhs = np.concatenate([np.zeros(n), p.b])
+    u = _solve_kkt(sp.identity(n, format="csr"), p.A, p.G, rhs)[:n]
+    if np.abs(p.A @ u - p.b).max() > tolerance * max(1.0, np.abs(p.b).max()):
         raise SingularKktError("equality constraints are inconsistent")
     return u
 
 
-def _solve_equality_qp(red: QpProblem, tolerance: float):
+def _solve_equality_qp(p: QpProblem, tolerance: float):
     """Direct KKT solve for problems without inequalities, whose equalities
     the least-norm start has found consistent."""
-    n, m = red.num_vars, red.num_eq
-    scale = max(1.0, float(np.abs(red.q).max()),
-                float(np.abs(red.b).max()) if m else 0.0)
+    n, m = p.num_vars, p.num_eq
+    scale = max(1.0, float(np.abs(p.q).max()),
+                float(np.abs(p.b).max()) if m else 0.0)
     try:
-        sol = _solve_kkt(red.Q, red.A, red.G, np.concatenate([-red.q, red.b]))
+        sol = _solve_kkt(p.Q, p.A, p.G, np.concatenate([-p.q, p.b]))
     except SingularKktError:
         # consistent equalities and no KKT point: a descent ray exists
         return np.zeros(n), np.zeros(m), QpStatus.UNBOUNDED, 1
     u, y = sol[:n], sol[n:]
-    res = _residual_norm(red.Q @ u + red.q + red.A.T @ y, red.A @ u - red.b,
+    res = _residual_norm(p.Q @ u + p.q + p.A.T @ y, p.A @ u - p.b,
                          np.zeros(0), np.zeros(0))
     ok = res <= max(tolerance, 1e-8) * scale
     return u, y, QpStatus.OPTIMAL if ok else QpStatus.MAX_ITER, 1
@@ -669,7 +555,8 @@ def _kkt_matrix(H, A, G, active=_NO_ENTRIES, extra=(_NO_ENTRIES, _NO_ENTRIES)):
     vals = np.concatenate([h_v, c_v, c_v])
     # column-major keys give CSC order with sorted row indices
     keys, slot = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
-    data = np.bincount(slot[:len(vals)], weights=vals, minlength=len(keys))
+    # float even without entries, where bincount returns integers
+    data = np.bincount(slot[:len(vals)], weights=vals, minlength=len(keys)).astype(float)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // size, minlength=size))])
     K = sp.csc_matrix((data, keys % size, indptr), shape=(size, size))
     K.has_canonical_format = True

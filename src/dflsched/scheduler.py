@@ -9,10 +9,7 @@ stays feasible for any parameter values the training loop visits.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -385,31 +382,3 @@ def expected_cost(result: ScheduleResult, tariff: Tariff) -> float:
     energy; the comfort penalty is reported separately."""
     return float(result.p_peak * tariff.demand_charge
                  + (result.p_import * tariff.energy_price).sum() * result.dt)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def export_schedule_csv(result: ScheduleResult, path: str | Path) -> None:
-    """Columns: t, zone, tau_in, p_h, p_c, p_hvac (tau_in at the step's end)."""
-    t_h, z_n = result.p_h.shape
-    with open(path, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["t", "zone", "tau_in", "p_h", "p_c", "p_hvac"])
-        for t in range(t_h):
-            for z in range(z_n):
-                writer.writerow([t, z, repr(float(result.tau_in[t + 1, z])),
-                                 repr(float(result.p_h[t, z])), repr(float(result.p_c[t, z])),
-                                 repr(float(result.p_hvac[t, z]))])
-
-
-def export_schedule_summary(result: ScheduleResult, path: str | Path) -> None:
-    doc = {
-        "expected_cost": result.expected_cost,
-        "comfort_penalty": result.comfort_penalty,
-        "p_peak": result.p_peak,
-        "energy_kwh": float(result.p_import.sum() * result.dt),
-        "kkt_residual": result.solution.kkt_residual,
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))

@@ -223,18 +223,6 @@ class TestWarmup:
         assert np.all(tau > 5.0) and np.all(tau < 30.0)
 
 
-class TestExport:
-    def test_trace_csv(self, tmp_path):
-        spec = quiet_spec(z=2, substeps=2)
-        trace = plant.simulate_day(spec, np.full((25, 2), 21.0),
-                                   np.full(24, 10.0), seed=0)
-        path = tmp_path / "trace.csv"
-        plant.export_trace_csv(trace, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,zone,tau_obs,p_hvac_obs"
-        assert len(lines) == 1 + 24 * 2
-
-
 # ---------------------------------------------------------------------------
 # reference: the per-substep loop that the vectorized plant loop replaced, kept
 # verbatim as the oracle for bit-identical outputs

@@ -45,27 +45,57 @@ class TestSolve:
         assert qp.solve(p).status == qp.QpStatus.INFEASIBLE
 
     def test_inconsistent_equalities_detected(self):
-        p = qp.QpProblem(2, np.eye(2), [0.0, 0.0],
-                         [[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0])
-        assert qp.solve(p).status == qp.QpStatus.INFEASIBLE
+        # dependent rows, two singleton rows fixing u0 twice, and an all-zero
+        # row reading 0 = 1; each with and without an inequality row
+        for A, b in (([[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0]),
+                     ([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0]),
+                     ([[1.0, 1.0], [0.0, 0.0]], [1.0, 1.0])):
+            for G, h in ((None, None), ([[0.0, 1.0]], [5.0])):
+                p = qp.QpProblem(2, np.eye(2), [0.0, 0.0], A, b, G, h)
+                assert qp.solve(p).status == qp.QpStatus.INFEASIBLE, (A, G)
+
+    @pytest.mark.parametrize("inequalities", [True, False])
+    def test_singleton_rows_keep_their_duals(self, inequalities):
+        # A = I fixes u = b; stationarity u + q + y = 0 gives y = -(b + q)
+        G, h = ([[1.0, 1.0]], [1.0]) if inequalities else (None, None)
+        p = qp.QpProblem(2, np.eye(2), [1.0, -1.0], np.eye(2), [0.5, 0.25], G, h)
+        s = qp.solve(p)
+        assert s.status == qp.QpStatus.OPTIMAL
+        np.testing.assert_allclose(s.primal, [0.5, 0.25], atol=1e-8)
+        np.testing.assert_allclose(s.dual_eq, [-1.5, 0.75], atol=1e-7)
+
+    @pytest.mark.parametrize("b,h,optimal", [
+        (None, None, True), (None, [0.0], True), (None, [1.0], True),
+        (None, [-1.0], False), ([0.0], None, True), ([1.0], None, False)])
+    def test_no_variables(self, b, h, optimal):
+        # with no variables the empty point is optimal exactly when b = 0 <= h
+        A = None if b is None else np.zeros((1, 0))
+        G = None if h is None else np.zeros((1, 0))
+        s = qp.solve(qp.QpProblem(0, np.zeros((0, 0)), [], A, b, G, h))
+        assert (s.status == qp.QpStatus.OPTIMAL) == optimal
+        assert s.primal.shape == (0,)
 
     def test_unbounded_detected(self):
         p = qp.QpProblem(1, [[0.0]], [-1.0])
         assert qp.solve(p).status == qp.QpStatus.UNBOUNDED
 
     def test_redundant_equality_rows_solved(self):
-        # duplicated consistent row must not break the solve
-        p = qp.QpProblem(2, np.eye(2), [0.0, 0.0],
-                         [[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0])
-        s = qp.solve(p)
-        assert s.status == qp.QpStatus.OPTIMAL
-        np.testing.assert_allclose(s.primal, [1.0, 1.0], atol=1e-8)
+        # a duplicated consistent row, or an all-zero row reading 0 = 0, must
+        # not break the solve, with or without an inequality row
+        for A, b in (([[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0]),
+                     ([[1.0, 1.0], [0.0, 0.0]], [2.0, 0.0])):
+            for G, h in ((None, None), ([[1.0, 0.0]], [5.0])):
+                p = qp.QpProblem(2, np.eye(2), [0.0, 0.0], A, b, G, h)
+                s = qp.solve(p)
+                assert s.status == qp.QpStatus.OPTIMAL, (A, G)
+                np.testing.assert_allclose(s.primal, [1.0, 1.0], atol=1e-8)
 
     @staticmethod
     def chain_with_copied_row(extra_b0: float, inequalities: bool):
         # 410 rows u_i + u_{i+1} = 1 over 420 variables plus a copy of row 0
-        # with right-hand side 1 + extra_b0: more than 400 equalities, none
-        # of them a singleton that presolve could resolve on its own
+        # with right-hand side 1 + extra_b0: more than 400 equalities, each
+        # coupling two variables, whose contradiction only the least-norm
+        # start can certify
         import scipy.sparse as sp
         n, m = 420, 410
         rows = np.repeat(np.arange(m), 2)

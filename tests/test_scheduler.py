@@ -219,26 +219,6 @@ class TestExpectedCost:
         assert scheduler.expected_cost(res, tariff) == pytest.approx(manual, abs=1e-9)
 
 
-class TestExport:
-    def test_csv_and_summary(self, tmp_path, rng):
-        topo = rc.default_topology(2)
-        cfg = make_config(topo, 4, weight=1.0)
-        theta = carryover_theta(2, c=2.0, r=5.0)
-        tariff = scheduler.default_tariff(4)
-        res = scheduler.solve_schedule(theta, scenario_of([0.0] * 4, [20.0, 20.0]),
-                                       tariff, cfg)
-        csv_path = tmp_path / "schedule.csv"
-        scheduler.export_schedule_csv(res, csv_path)
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "t,zone,tau_in,p_h,p_c,p_hvac"
-        assert len(lines) == 1 + 4 * 2
-        summary_path = tmp_path / "summary.json"
-        scheduler.export_schedule_summary(res, summary_path)
-        import json
-        doc = json.loads(summary_path.read_text())
-        assert doc["expected_cost"] == pytest.approx(res.expected_cost)
-
-
 class TestCoefficientMapEndToEnd:
     def test_matches_finite_differences_through_solve(self, rng):
         """Full RC coefficient map on a 2-zone problem: end-to-end finite
