@@ -400,33 +400,6 @@ def summarize(pairs, tariff: Tariff, topology: ZoneTopology) -> dict:
     }
 
 
-def regret(theta_hat: ThetaParams, theta_true: ThetaParams,
-           scenario: DayScenario, tariff: Tariff,
-           config: ScheduleConfig) -> float:
-    """Objective-value gap of scheduling with estimated instead of true
-    parameters, both realized on the true dynamics.
-
-    Needs the true parameters, which the black-box setting forbids, so this
-    is an evaluation metric for realizable-plant diagnostics only, never a
-    training objective.  The realized objective is the electricity bill of
-    the true power draw plus the comfort penalty of the true temperatures.
-    """
-    from .plant import ExactRcPlant
-
-    sim = ExactRcPlant(theta_true, dt=config.dt)
-
-    def realized_objective(theta: ThetaParams) -> float:
-        result = scheduler.solve_schedule(theta, scenario, tariff, config)
-        trace = sim.simulate(result.tau_in, scenario.ambient, seed=0,
-                             tariff=tariff, dt=config.dt)
-        comfort = float(np.sum(config.comfort_weight
-                               * (trace.tau_obs[1:] - config.comfort_target) ** 2)
-                        * config.dt)
-        return trace.expost_cost + comfort
-
-    return realized_objective(theta_hat) - realized_objective(theta_true)
-
-
 def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
               plant, tariff: Tariff, config: TrainConfig,
               schedule_config: ScheduleConfig,

@@ -236,7 +236,6 @@ class StepCoefficients:
 
 
 def step_coefficients(theta: ThetaParams, dt: float) -> StepCoefficients:
-    z = theta.num_zones
     leak = dt / (theta.r * theta.c)
     return StepCoefficients(
         m_tau=dt * theta.alpha - np.diag(leak),
@@ -257,51 +256,25 @@ def coefficient_jacobian(theta: ThetaParams, dt: float) -> sp.csr_matrix:
     z = theta.num_zones
     a_idx = _alpha_indices(theta)
     n_alpha = len(a_idx)
-    p = n_alpha + 4 * z
-    col_eta_h = n_alpha + np.arange(z)
-    col_eta_c = col_eta_h + z
-    col_r = col_eta_c + z
-    col_c = col_r + z
-
-    leak = dt / (theta.r * theta.c)
-    inj_h = dt * theta.eta_h / theta.c
-    inj_c = dt * theta.eta_c / theta.c
-
-    rows, cols, vals = [], [], []
-
-    def add(row, col, val):
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-
-    # m_tau block: d/d alpha_ij = dt; diagonal also carries the leak term
-    pos_of = {flat: k for k, flat in enumerate(a_idx)}
-    for i in range(z):
-        for j in range(z):
-            row = i * z + j
-            flat = i * z + j
-            if flat in pos_of:
-                add(row, pos_of[flat], dt)
-            if i == j:
-                add(row, col_r[i], leak[i])   # d(-dt/(rc))/dlog r = +dt/(rc)
-                add(row, col_c[i], leak[i])
-    # m_ph rows
-    for i in range(z):
-        row = z * z + i
-        add(row, col_eta_h[i], inj_h[i])
-        add(row, col_c[i], -inj_h[i])
-    # m_pc rows
-    for i in range(z):
-        row = z * z + z + i
-        add(row, col_eta_c[i], -inj_c[i])
-        add(row, col_c[i], inj_c[i])
-    # m_amb rows
-    for i in range(z):
-        row = z * z + 2 * z + i
-        add(row, col_r[i], -leak[i])
-        add(row, col_c[i], -leak[i])
-
-    return sp.csr_matrix((vals, (rows, cols)), shape=(z * z + 3 * z, p))
+    i = np.arange(z)
+    col_eta_h, col_eta_c, col_r, col_c = n_alpha + i + z * np.arange(4)[:, None]
+    row_ph, row_pc, row_amb = z * z + i + z * np.arange(3)[:, None]
+    diag = i * (z + 1)
+    # every coefficient is a monomial in eta/r/c, so its derivative with
+    # respect to a log-space entry is plus or minus the coefficient itself
+    sc = step_coefficients(theta, dt)
+    rows, cols, vals = (np.concatenate(part) for part in zip(
+        (a_idx, np.arange(n_alpha), np.full(n_alpha, dt)),  # d m_tau / d alpha = dt
+        (diag, col_r, sc.m_amb),  # d(-dt/(rc))/dlog r = +dt/(rc)
+        (diag, col_c, sc.m_amb),
+        (row_ph, col_eta_h, sc.m_ph),
+        (row_ph, col_c, -sc.m_ph),
+        (row_pc, col_eta_c, sc.m_pc),
+        (row_pc, col_c, -sc.m_pc),
+        (row_amb, col_r, -sc.m_amb),
+        (row_amb, col_c, -sc.m_amb),
+    ))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(z * z + 3 * z, n_alpha + 4 * z))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +319,8 @@ def adjacency_mask(topology: ZoneTopology) -> np.ndarray:
     z = topology.num_zones
     mask = np.eye(z, dtype=bool)
     for members in topology.floors:
-        for a in members:
-            for b in members:
-                mask[a, b] = True
-    for f in range(topology.num_floors - 1):
-        lower, upper = topology.floors[f], topology.floors[f + 1]
+        mask[np.ix_(members, members)] = True
+    for lower, upper in zip(topology.floors, topology.floors[1:]):
         for a, b in zip(lower, upper):
             mask[a, b] = mask[b, a] = True
     return mask

@@ -11,14 +11,11 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import learning, scheduler
-from .learning import TrainingLog, hierarchical_loss, summarize
-from .rc import ThetaParams, ZoneTopology
+from .learning import TrainingLog, summarize
+from .rc import ThetaParams
 from .scenarios import DayScenario
-from .scheduler import ScheduleConfig, ScheduleResult, Tariff
-from .plant import SimulationTrace
+from .scheduler import ScheduleConfig, Tariff
 
 
 @dataclass
@@ -72,9 +69,8 @@ def evaluate_model(theta: ThetaParams, scenarios: list[DayScenario], plant,
         raise RuntimeError(f"every scenario failed in split {split!r}")
 
     stats = summarize(pairs, tariff, config.topology)
-    flat = [(s, r, t) for (s, r, t) in pairs]
-    uniform = [(DayScenario(s.ambient, s.initial_tau, s.label, 1.0 / len(flat), s.day_index), r, t)
-               for s, r, t in flat]
+    uniform = [(DayScenario(s.ambient, s.initial_tau, s.label, 1.0 / len(pairs), s.day_index), r, t)
+               for s, r, t in pairs]
     unweighted = summarize(uniform, tariff, config.topology)
     return MetricsReport(
         split=split,
@@ -135,28 +131,6 @@ def write_verdict(comparison: dict, path: str | Path) -> None:
 # plot-data emission
 
 
-def clustering_approximation_diagnostic(theta: ThetaParams,
-                                        medoid_scenarios: list[DayScenario],
-                                        all_scenarios: list[DayScenario],
-                                        plant, tariff: Tariff,
-                                        config: ScheduleConfig,
-                                        base_seed: int = 0) -> dict:
-    """How far the cluster-weighted medoid metrics sit from a brute-force
-    evaluation over every day.  Reported as a diagnostic, never asserted:
-    the gap is the clustering approximation itself."""
-    weighted = evaluate_model(theta, medoid_scenarios, plant, tariff, config,
-                              split="medoids", base_seed=base_seed)
-    uniform = [DayScenario(s.ambient, s.initial_tau, s.label,
-                           1.0 / len(all_scenarios), s.day_index)
-               for s in all_scenarios]
-    full = evaluate_model(theta, uniform, plant, tariff, config,
-                          split="full-set", base_seed=base_seed)
-    gaps = {m: getattr(weighted, m) - getattr(full, m)
-            for m in ("hier_loss", "mae", "expected_cost", "expost_cost")}
-    return {"medoid_weighted": asdict(weighted), "full_set": asdict(full),
-            "gaps": gaps}
-
-
 def emit_training_curves(training_log: TrainingLog, out_dir: str | Path) -> list[Path]:
     """One CSV per split with the per-epoch series behind the convergence
     figures (loss, error statistics, expected vs ex-post cost)."""
@@ -176,44 +150,3 @@ def emit_training_curves(training_log: TrainingLog, out_dir: str | Path) -> list
                     r.expected_cost, r.expost_cost)])
         written.append(path)
     return written
-
-
-def emit_day_trace(result: ScheduleResult, trace: SimulationTrace,
-                   config: ScheduleConfig, out_dir: str | Path,
-                   name: str = "day") -> list[Path]:
-    """Per-day plot data: zonal temperatures against targets with penalty
-    weights, zonal powers expected vs observed, and aggregated floor and
-    building series (building = sum of floors = sum of zones, exactly)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t_h, z_n = result.p_hvac.shape
-    topo = config.topology
-
-    zonal = out_dir / f"{name}_zones.csv"
-    with open(zonal, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["t", "zone", "tau_expected", "tau_observed",
-                         "tau_target", "penalty_weight",
-                         "p_hvac_expected", "p_hvac_observed"])
-        for t in range(t_h):
-            for z in range(z_n):
-                writer.writerow([t, z] + [repr(float(x)) for x in (
-                    result.tau_in[t + 1, z], trace.tau_obs[t + 1, z],
-                    config.comfort_target[t, z], config.comfort_weight[t, z],
-                    result.p_hvac[t, z], trace.p_hvac_obs[t, z])])
-
-    agg = out_dir / f"{name}_aggregate.csv"
-    exp_floor = np.stack([result.p_hvac[:, list(m)].sum(axis=1) for m in topo.floors], axis=1)
-    obs_floor = np.stack([trace.p_hvac_obs[:, list(m)].sum(axis=1) for m in topo.floors], axis=1)
-    with open(agg, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["t", "level", "index", "p_expected", "p_observed"])
-        for t in range(t_h):
-            writer.writerow([t, "building", 0,
-                             repr(float(exp_floor[t].sum())),
-                             repr(float(obs_floor[t].sum()))])
-            for f in range(topo.num_floors):
-                writer.writerow([t, "floor", f,
-                                 repr(float(exp_floor[t, f])),
-                                 repr(float(obs_floor[t, f]))])
-    return [zonal, agg]

@@ -10,6 +10,7 @@ stays feasible for any parameter values the training loop visits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,16 +192,43 @@ class ScheduleResult:
 # assembly
 
 
+def _coo_csr(entries, shape) -> sp.csr_matrix:
+    """One CSR matrix from (rows, cols, values) triplets, each triplet
+    broadcast to a common shape.  Entry order is free: CSR sorts every row."""
+    flat = [[a.ravel() for a in np.broadcast_arrays(*entry)] for entry in entries]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*flat))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
+def _dynamics_slots(idx: VariableIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns, each (T, Z*Z + 3*Z), of the theta-dependent
+    dynamics coefficients.  Hour t, zone z owns equality row Z + t*Z + z;
+    per hour the slots follow rc.coefficient_jacobian's rows: -m_tau[z, j]
+    at tau[t, j] (row-major), -m_ph[z] at p_h[t, z], -m_pc[z] at p_c[t, z],
+    then the right-hand side m_amb[z]*amb[t] (b, column -1)."""
+    t_h, z_n = idx.p_h.shape
+    dyn = z_n + np.arange(t_h * z_n).reshape(t_h, z_n)
+    rows = np.hstack([np.repeat(dyn, z_n, axis=1), dyn, dyn, dyn])
+    cols = np.hstack([np.tile(idx.tau[:-1], z_n), idx.p_h, idx.p_c,
+                      np.full((t_h, z_n), -1)])
+    return rows, cols
+
+
 def assemble(theta: ThetaParams, scenario: DayScenario, tariff: Tariff,
              config: ScheduleConfig) -> tuple[qp.QpProblem, VariableIndex]:
     """Build the scheduling QP.
 
-    Equalities: initial conditions, RC dynamics, hvac power definition and
-    the per-step energy balance.  Inequalities: zonal and floor capacities,
-    the peak epigraph, the line capacity and power nonnegativity.
+    Equality rows, in order: Z initial conditions; T*Z RC dynamics rows
+    tau[t+1] - m_tau @ tau[t] - m_ph*p_h[t] - m_pc*p_c[t] = m_amb*amb[t]
+    (row Z + t*Z + z, laid out by _dynamics_slots); T*Z hvac definitions
+    p_hvac = p_h + p_c; T energy balances sum_z p_hvac[t] = p_i[t].
+    Inequality rows, in order: zonal heating then cooling caps (T*Z each),
+    floor heating then cooling caps (T*F each), T peak epigraph rows
+    p_i[t] <= p_d, the line cap on p_d, and nonnegativity of p_h, p_c
+    (T*Z each) and p_i (T).  Per-hour families are hour-major.
     """
     topo = config.topology
-    t_h, z_n = config.horizon, topo.num_zones
+    t_h, z_n, f_n = config.horizon, topo.num_zones, topo.num_floors
     amb = np.asarray(scenario.ambient, dtype=float)
     if amb.shape != (t_h,):
         raise ScheduleError(f"scenario ambient must have length {t_h}")
@@ -226,118 +254,69 @@ def assemble(theta: ThetaParams, scenario: DayScenario, tariff: Tariff,
     q_lin[idx.p_d] = tariff.demand_charge
     Q = sp.diags(q_diag, format="csr")
 
-    rows, cols, vals, b = [], [], [], []
+    # equalities
+    tz = t_h * z_n
+    slot_rows, slot_cols = _dynamics_slots(idx)
+    k = z_n * z_n + 2 * z_n  # A slots per hour; the Z b slots follow
+    dyn = slot_rows[:, k:]
+    hvac = z_n + tz + np.arange(tz).reshape(t_h, z_n)
+    balance = z_n + 2 * tz + np.arange(t_h)
+    step = np.concatenate([coeff.m_tau.ravel(), coeff.m_ph, coeff.m_pc])
+    A = _coo_csr([
+        (np.arange(z_n), idx.tau[0], 1.0),  # initial conditions
+        (dyn, idx.tau[1:], 1.0),  # dynamics
+        (slot_rows[:, :k], slot_cols[:, :k], -step),
+        (hvac, idx.p_hvac, 1.0),  # hvac power definition
+        (hvac, idx.p_h, -1.0),
+        (hvac, idx.p_c, -1.0),
+        (balance[:, None], idx.p_hvac, 1.0),  # energy balance
+        (balance, idx.p_i, -1.0),
+    ], (z_n + 2 * tz + t_h, n))
+    b = np.zeros(A.shape[0])
+    b[:z_n] = tau0
+    b[dyn] = coeff.m_amb * amb[:, None]
 
-    def eq(entries, rhs):
-        r = len(b)
-        for col, val in entries:
-            rows.append(r)
-            cols.append(col)
-            vals.append(val)
-        b.append(rhs)
+    # inequalities
+    members = np.fromiter(chain.from_iterable(topo.floors), dtype=int)
+    floor_of = np.repeat(np.arange(f_n), [len(m) for m in topo.floors])
+    power = np.vstack([idx.p_h, idx.p_c])  # heating hours, then cooling hours
+    line = 2 * (tz + t_h * f_n) + t_h
+    peak = line - t_h + np.arange(t_h)
+    nonneg = line + 1 + np.arange(2 * tz + t_h)
+    floor_rows = 2 * tz + f_n * np.arange(2 * t_h)[:, None] + floor_of
+    G = _coo_csr([
+        (np.arange(2 * tz), power.ravel(), 1.0),  # zonal capacities
+        (floor_rows, power[:, members], 1.0),  # floor capacities
+        (peak, idx.p_i, 1.0),  # peak epigraph
+        (peak, idx.p_d, -1.0),
+        (line, idx.p_d, 1.0),  # line capacity
+        (nonneg, np.concatenate([power.ravel(), idx.p_i]), -1.0),  # nonnegativity
+    ], (nonneg[-1] + 1, n))
+    h = np.concatenate([config.zone_cap_h.ravel(), config.zone_cap_c.ravel(),
+                        config.floor_cap_h.ravel(), config.floor_cap_c.ravel(),
+                        np.zeros(t_h), [config.line_capacity], np.zeros(2 * tz + t_h)])
 
-    # initial conditions
-    for z in range(z_n):
-        eq([(idx.tau[0, z], 1.0)], tau0[z])
-    # dynamics: tau[t+1] - m_tau @ tau[t] - m_ph*p_h - m_pc*p_c = m_amb*amb[t]
-    for t in range(t_h):
-        for z in range(z_n):
-            entries = [(idx.tau[t + 1, z], 1.0)]
-            entries += [(idx.tau[t, j], -coeff.m_tau[z, j]) for j in range(z_n)]
-            entries.append((idx.p_h[t, z], -coeff.m_ph[z]))
-            entries.append((idx.p_c[t, z], -coeff.m_pc[z]))
-            eq(entries, coeff.m_amb[z] * amb[t])
-    # hvac power definition
-    for t in range(t_h):
-        for z in range(z_n):
-            eq([(idx.p_hvac[t, z], 1.0), (idx.p_h[t, z], -1.0), (idx.p_c[t, z], -1.0)], 0.0)
-    # energy balance
-    for t in range(t_h):
-        eq([(idx.p_hvac[t, z], 1.0) for z in range(z_n)] + [(idx.p_i[t], -1.0)], 0.0)
-
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(len(b), n))
-    b = np.asarray(b)
-
-    g_rows, g_cols, g_vals, h = [], [], [], []
-
-    def ineq(entries, rhs):
-        r = len(h)
-        for col, val in entries:
-            g_rows.append(r)
-            g_cols.append(col)
-            g_vals.append(val)
-        h.append(rhs)
-
-    for t in range(t_h):  # zonal capacities
-        for z in range(z_n):
-            ineq([(idx.p_h[t, z], 1.0)], config.zone_cap_h[t, z])
-    for t in range(t_h):
-        for z in range(z_n):
-            ineq([(idx.p_c[t, z], 1.0)], config.zone_cap_c[t, z])
-    for t in range(t_h):  # floor capacities
-        for f, members in enumerate(topo.floors):
-            ineq([(idx.p_h[t, z], 1.0) for z in members], config.floor_cap_h[t, f])
-    for t in range(t_h):
-        for f, members in enumerate(topo.floors):
-            ineq([(idx.p_c[t, z], 1.0) for z in members], config.floor_cap_c[t, f])
-    for t in range(t_h):  # peak epigraph
-        ineq([(idx.p_i[t], 1.0), (idx.p_d, -1.0)], 0.0)
-    ineq([(idx.p_d, 1.0)], config.line_capacity)  # line capacity
-    for t in range(t_h):  # nonnegativity
-        for z in range(z_n):
-            ineq([(idx.p_h[t, z], -1.0)], 0.0)
-    for t in range(t_h):
-        for z in range(z_n):
-            ineq([(idx.p_c[t, z], -1.0)], 0.0)
-    for t in range(t_h):
-        ineq([(idx.p_i[t], -1.0)], 0.0)
-
-    G = sp.csr_matrix((g_vals, (g_rows, g_cols)), shape=(len(h), n))
-    problem = qp.QpProblem(n, Q, q_lin, A, b, G, np.asarray(h))
-    return problem, idx
+    return qp.QpProblem(n, Q, q_lin, A, b, G, h), idx
 
 
 def coefficient_map(theta: ThetaParams, scenario: DayScenario,
                     config: ScheduleConfig) -> qp.CoefficientMap:
-    """Where every theta-dependent QP coefficient lives, with its Jacobian
-    against the flat parameter vector; feeds qp.backward_through_map."""
-    topo = config.topology
-    t_h, z_n = config.horizon, topo.num_zones
-    idx = variable_index(t_h, z_n)
-    jac = rc.coefficient_jacobian(theta, config.dt)
+    """Where every theta-dependent QP coefficient lives (laid out by
+    _dynamics_slots), with its Jacobian against the flat parameter vector;
+    feeds qp.backward_through_map."""
+    idx = variable_index(config.horizon, config.topology.num_zones)
+    rows, cols = _dynamics_slots(idx)
+    t_h, per_hour = rows.shape
+    jac = rc.coefficient_jacobian(theta, config.dt).tocoo()  # one row per hourly slot
     amb = np.asarray(scenario.ambient, dtype=float)
-
-    n_tau, n_p = z_n * z_n, z_n
-    a_rows_per_step = n_tau + 2 * n_p  # m_tau, m_ph, m_pc slots enter A
-    dyn_row0 = z_n  # dynamics rows start after the initial conditions
-
-    blocks, rows, cols, jac_parts = [], [], [], []
-    for t in range(t_h):
-        row_base = dyn_row0 + t * z_n
-        # A slots: coefficient is -m_tau[z, j] at (row z, column tau[t, j])
-        for z in range(z_n):
-            blocks.extend(["A"] * z_n)
-            rows.extend([row_base + z] * z_n)
-            cols.extend(idx.tau[t].tolist())
-        # -m_ph and -m_pc at the power columns
-        blocks.extend(["A"] * z_n)
-        rows.extend((row_base + np.arange(z_n)).tolist())
-        cols.extend(idx.p_h[t].tolist())
-        blocks.extend(["A"] * z_n)
-        rows.extend((row_base + np.arange(z_n)).tolist())
-        cols.extend(idx.p_c[t].tolist())
-        # b slots: rhs is m_amb[z] * amb[t]
-        blocks.extend(["b"] * z_n)
-        rows.extend((row_base + np.arange(z_n)).tolist())
-        cols.extend([-1] * z_n)
-        jac_parts.append(-jac[:a_rows_per_step])
-        jac_parts.append(amb[t] * jac[a_rows_per_step:])
-
+    # per hour: A slots hold minus the coefficient, b slots m_amb * amb[t]
+    vals = np.where(cols[:, jac.row] < 0, amb[:, None] * jac.data, -jac.data)
     return qp.CoefficientMap(
-        blocks=np.asarray(blocks),
-        rows=np.asarray(rows, dtype=int),
-        cols=np.asarray(cols, dtype=int),
-        jacobian=sp.vstack(jac_parts, format="csr"),
+        blocks=np.where(cols.ravel() < 0, "b", "A"),
+        rows=rows.ravel(),
+        cols=cols.ravel(),
+        jacobian=_coo_csr([(per_hour * np.arange(t_h)[:, None] + jac.row, jac.col, vals)],
+                          (rows.size, jac.shape[1])),
     )
 
 

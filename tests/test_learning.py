@@ -334,26 +334,3 @@ class TestDflTrain:
         assert lines[0].startswith("epoch,split,hier_loss")
         assert len(lines) == 1 + len(log.records)
 
-
-class TestRegret:
-    def test_zero_at_true_parameters_and_nonnegative_nearby(self, rng):
-        z, horizon = 2, 4
-        topo = rc.default_topology(z)
-        theta_star = rc.ThetaParams(np.eye(z), [0.9, 0.85], [0.9, 0.8],
-                                    [4.0, 5.0], [2.0, 2.5])
-        cfg = scheduler.ScheduleConfig(
-            topology=topo, dt=1.0,
-            comfort_target=np.full((horizon, z), 21.0),
-            comfort_weight=np.full((horizon, z), 2.0),
-            zone_cap_h=np.full((horizon, z), 30.0),
-            zone_cap_c=np.full((horizon, z), 30.0),
-            floor_cap_h=np.full((horizon, 1), 60.0),
-            floor_cap_c=np.full((horizon, 1), 60.0),
-            line_capacity=200.0)
-        tariff = scheduler.default_tariff(horizon)
-        scen = DayScenario(rng.uniform(-8, 2, horizon), np.full(z, 19.5), 0, 1.0)
-        assert learning.regret(theta_star, theta_star, scen, tariff, cfg) == \
-            pytest.approx(0.0, abs=1e-9)
-        off = rc.unpack_like(rc.pack(theta_star) + 0.2, theta_star)
-        # misestimated parameters cannot realize a better true objective
-        assert learning.regret(off, theta_star, scen, tariff, cfg) >= -1e-6

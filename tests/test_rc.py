@@ -180,23 +180,24 @@ class TestCoefficientJacobian:
         assert jac[row_ph, col_log_c] == pytest.approx(-inj)
 
     def test_full_map_finite_differences(self, rng):
-        z, dt = 2, 1.0
-        theta = random_theta(rng, z)
-        flat0 = rc.pack(theta)
-        jac = rc.coefficient_jacobian(theta, dt).toarray()
+        dt = 1.0
+        mask = rc.adjacency_mask(rc.default_topology(4, 2))  # drops 4 of 16 alphas
+        for theta in (random_theta(rng, 2), random_theta(rng, 4, mask)):
+            flat0 = rc.pack(theta)
+            jac = rc.coefficient_jacobian(theta, dt).toarray()
+            assert jac.shape == (theta.num_zones * (theta.num_zones + 3), len(flat0))
 
-        def coeffs(flat):
-            th = rc.unpack_like(flat, theta)
-            sc = rc.step_coefficients(th, dt)
-            return np.concatenate([sc.m_tau.ravel(), sc.m_ph, sc.m_pc, sc.m_amb])
+            def coeffs(flat):
+                sc = rc.step_coefficients(rc.unpack_like(flat, theta), dt)
+                return np.concatenate([sc.m_tau.ravel(), sc.m_ph, sc.m_pc, sc.m_amb])
 
-        eps = 1e-7
-        for k in range(len(flat0)):
-            up, dn = flat0.copy(), flat0.copy()
-            up[k] += eps
-            dn[k] -= eps
-            fd = (coeffs(up) - coeffs(dn)) / (2 * eps)
-            assert rel_err(fd, jac[:, k]) <= 1e-6, f"param {k}"
+            eps = 1e-7
+            for k in range(len(flat0)):
+                up, dn = flat0.copy(), flat0.copy()
+                up[k] += eps
+                dn[k] -= eps
+                fd = (coeffs(up) - coeffs(dn)) / (2 * eps)
+                assert rel_err(fd, jac[:, k]) <= 1e-6, f"z={theta.num_zones} param {k}"
 
 
 class TestCheckpoint:

@@ -1,5 +1,4 @@
 """Metric reports, model comparison and plot-data files."""
-import csv
 import json
 
 import numpy as np
@@ -143,32 +142,3 @@ class TestPlotData:
         for path in files:
             rows = path.read_text().strip().splitlines()
             assert len(rows) == 1 + 44
-
-    def test_building_equals_sum_of_floors_in_emitted_files(self, rng, tmp_path):
-        theta, cfg, tariff, scens = make_setup(rng, z=2)
-        res = scheduler.solve_schedule(theta, scens[0], tariff, cfg)
-        trace = EchoPlant(theta).simulate(res.tau_in, scens[0].ambient, 0,
-                                          tariff=tariff)
-        files = reporting.emit_day_trace(res, trace, cfg, tmp_path, name="d")
-        agg = [f for f in files if f.name == "d_aggregate.csv"][0]
-        with open(agg) as fp:
-            rows = list(csv.DictReader(fp))
-        by_t = {}
-        for row in rows:
-            by_t.setdefault(int(row["t"]), {}).setdefault(row["level"], []).append(
-                float(row["p_expected"]))
-        for t, levels in by_t.items():
-            assert sum(levels["floor"]) == pytest.approx(levels["building"][0],
-                                                         abs=0.0)  # exact
-
-
-class TestClusteringDiagnostic:
-    def test_gap_reported_not_asserted(self, rng):
-        theta, cfg, tariff, scens = make_setup(rng, z=2)
-        all_days = scens + [DayScenario(rng.uniform(-5, 5, 4),
-                                        np.full(2, 20.0), i, 0.25)
-                            for i in range(2, 4)]
-        out = reporting.clustering_approximation_diagnostic(
-            theta, scens, all_days, EchoPlant(theta), tariff, cfg)
-        assert set(out) == {"medoid_weighted", "full_set", "gaps"}
-        assert "hier_loss" in out["gaps"]

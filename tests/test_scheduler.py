@@ -249,3 +249,67 @@ class TestCoefficientMapEndToEnd:
                                             cfg, tolerance=1e-10, max_iter=100)
             fd[k] = (g @ r_up.solution.primal - g @ r_dn.solution.primal) / (2 * eps)
         assert rel_err(fd, grad) <= 1e-4
+
+
+class TestDynamicsSlotLayout:
+    def test_map_slots_are_where_assemble_puts_theta(self, rng):
+        """coefficient_map names exactly the A and b entries that assemble
+        fills from the step coefficients, and nothing else moves with theta."""
+        topo = rc.default_topology(7, 5)  # floors of 5 and 2 zones
+        z, horizon = topo.num_zones, 6
+        mask = rc.adjacency_mask(topo)
+        cfg = make_config(topo, horizon, weight=2.0)
+        tariff = scheduler.default_tariff(horizon)
+        amb = rng.normal(5.0, 5.0, horizon)
+        scen = scenario_of(amb, rng.normal(20.0, 1.0, z))
+
+        def masked_theta():
+            alpha = np.where(mask, np.eye(z) + rng.normal(0, 0.05, size=(z, z)), 0.0)
+            return rc.ThetaParams(alpha, rng.uniform(0.5, 1.2, z), rng.uniform(0.5, 1.2, z),
+                                  rng.uniform(2.0, 8.0, z), rng.uniform(1.0, 5.0, z),
+                                  alpha_mask=mask)
+
+        theta = masked_theta()
+        problem, idx = scheduler.assemble(theta, scen, tariff, cfg)
+        cmap = scheduler.coefficient_map(theta, scen, cfg)
+        coeff = rc.step_coefficients(theta, cfg.dt)
+
+        expected_a, expected_b = {}, {}
+        for t in range(horizon):
+            for zr in range(z):
+                row = z + t * z + zr
+                for j in range(z):
+                    expected_a[row, idx.tau[t, j]] = -coeff.m_tau[zr, j]
+                expected_a[row, idx.p_h[t, zr]] = -coeff.m_ph[zr]
+                expected_a[row, idx.p_c[t, zr]] = -coeff.m_pc[zr]
+                expected_b[row] = coeff.m_amb[zr] * amb[t]
+
+        in_a = cmap.blocks == "A"
+        a_slots = list(zip(cmap.rows[in_a].tolist(), cmap.cols[in_a].tolist()))
+        b_slots = cmap.rows[~in_a].tolist()
+        assert set(cmap.blocks.tolist()) == {"A", "b"}
+        assert sorted(a_slots) == sorted(expected_a)
+        assert sorted(b_slots) == sorted(expected_b)
+        assert np.all(cmap.cols[~in_a] == -1)
+
+        A = problem.A.toarray()
+        assert [A[k] for k in a_slots] == [expected_a[k] for k in a_slots]
+        assert [problem.b[r] for r in b_slots] == [expected_b[r] for r in b_slots]
+        # masked-out alphas stay stored zeros, so the A pattern is theta-free
+        coo = problem.A.tocoo()
+        assert set(a_slots) <= set(zip(coo.row.tolist(), coo.col.tolist()))
+        assert any(expected_a[k] == 0.0 for k in a_slots)
+
+        other, _ = scheduler.assemble(masked_theta(), scen, tariff, cfg)
+        moved_a = set(map(tuple, np.argwhere(other.A.toarray() != A).tolist()))
+        moved_b = set(np.flatnonzero(other.b != problem.b).tolist())
+        assert moved_a and moved_a <= set(a_slots)
+        assert moved_b and moved_b <= set(b_slots)
+        np.testing.assert_array_equal(other.A.indptr, problem.A.indptr)
+        np.testing.assert_array_equal(other.A.indices, problem.A.indices)
+        for block in ("Q", "G"):
+            new, old = getattr(other, block), getattr(problem, block)
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(new, part), getattr(old, part))
+        np.testing.assert_array_equal(other.q, problem.q)
+        np.testing.assert_array_equal(other.h, problem.h)
