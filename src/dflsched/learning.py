@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qp, rc, scheduler
-from .plant import Plant, PlantSpec, SimulationTrace, TransitionDataset
+from .plant import TransitionDataset
 from .rc import ThetaParams, ZoneTopology
 from .scenarios import DayScenario
 from .scheduler import ScheduleConfig, ScheduleError, Tariff
@@ -301,6 +301,11 @@ def pretrain(dataset: TransitionDataset, theta_init: ThetaParams,
 # decision-focused training
 
 
+# the per-epoch metrics, in the column order of every CSV that holds them
+METRIC_COLUMNS = ("hier_loss", "mae", "mse", "err_mean", "err_std",
+                  "expected_cost", "expost_cost")
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -312,6 +317,10 @@ class EpochRecord:
     err_std: float
     expected_cost: float
     expost_cost: float
+
+    def metric_cells(self) -> list[str]:
+        """The METRIC_COLUMNS values as CSV cells, exact (``repr``)."""
+        return [repr(float(getattr(self, name))) for name in METRIC_COLUMNS]
 
 
 @dataclass
@@ -326,12 +335,9 @@ class TrainingLog:
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fp:
             writer = csv.writer(fp)
-            writer.writerow(["epoch", "split", "hier_loss", "mae", "mse",
-                             "err_mean", "err_std", "expected_cost", "expost_cost"])
+            writer.writerow(["epoch", "split", *METRIC_COLUMNS])
             for r in self.records:
-                writer.writerow([r.epoch, r.split] + [repr(float(x)) for x in (
-                    r.hier_loss, r.mae, r.mse, r.err_mean, r.err_std,
-                    r.expected_cost, r.expost_cost)])
+                writer.writerow([r.epoch, r.split, *r.metric_cells()])
 
     def save_sidecar(self, path: str | Path, config: TrainConfig,
                      extra: dict | None = None) -> None:
@@ -349,32 +355,27 @@ def _sample_seed(base: int, tag: int, index: int) -> int:
     return (base * 1_000_003 + tag * 8191 + index * 131 + 17) % (2 ** 63)
 
 
-def _as_plant(plant) -> object:
-    if isinstance(plant, PlantSpec):
-        return Plant(plant)
-    return plant
-
-
 def evaluate_scenarios(theta: ThetaParams, scenarios: list[DayScenario],
                        plant, tariff: Tariff, config: ScheduleConfig,
                        seed_tag: int, base_seed: int):
-    """Solve and simulate each scenario; scenarios whose QP fails are
-    skipped with a warning (weights renormalize over the survivors)."""
-    plant = _as_plant(plant)
-    pairs = []
+    """Solve and simulate each scenario.  Returns the (scenario, result,
+    trace) triples that solved and a dict from the index of each scenario
+    whose QP failed to its ScheduleError; raises RuntimeError when none
+    solved.  Callers decide how to report a drop."""
+    pairs, failed = [], {}
     for i, scen in enumerate(scenarios):
         seed = _sample_seed(base_seed, seed_tag, scen.day_index if scen.day_index >= 0 else i)
         try:
             result = scheduler.solve_schedule(theta, scen, tariff, config)
         except ScheduleError as exc:
-            log.warning("evaluation scenario %d skipped: %s", i, exc)
+            failed[i] = exc
             continue
         trace = plant.simulate(result.tau_in, scen.ambient, seed, tariff=tariff,
                                dt=config.dt)
         pairs.append((scen, result, trace))
     if not pairs:
         raise RuntimeError("every evaluation scenario failed to solve")
-    return pairs
+    return pairs, failed
 
 
 def summarize(pairs, tariff: Tariff, topology: ZoneTopology) -> dict:
@@ -409,9 +410,10 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
     one Adam step per sample, early stopping on the validation loss.
 
     A scenario whose QP fails to solve is skipped with a warning; an epoch
-    in which every scenario fails aborts the run.
+    in which every scenario fails aborts the run.  A validation scenario
+    that fails is dropped with a warning, and the validation weights
+    renormalize over the survivors.
     """
-    plant = _as_plant(plant)
     topo = schedule_config.topology
     if val_scenarios is None:
         val_scenarios = train_scenarios
@@ -463,9 +465,11 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
             stats = summarize(train_pairs, tariff, topo)
             training_log.records.append(EpochRecord(epoch, "train", **stats))
 
-        val_pairs = evaluate_scenarios(theta, val_scenarios, plant, tariff,
-                                       schedule_config, seed_tag=0,
-                                       base_seed=config.seed)
+        val_pairs, dropped = evaluate_scenarios(theta, val_scenarios, plant, tariff,
+                                                schedule_config, seed_tag=0,
+                                                base_seed=config.seed)
+        for i, exc in dropped.items():
+            log.warning("evaluation scenario %d skipped: %s", i, exc)
         val_stats = summarize(val_pairs, tariff, topo)
         training_log.records.append(EpochRecord(epoch, "val", **val_stats))
 

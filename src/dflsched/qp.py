@@ -8,10 +8,12 @@ Problems have the canonical form
 
 ``solve`` runs a Mehrotra predictor-corrector primal-dual interior-point
 method; robust duals are needed downstream, which rules out active-set
-methods with sloppy multiplier recovery.  ``backward`` turns a loss gradient
-with respect to the primal solution into gradients with respect to every
-data block (Q, q, A, b, G, h) by solving one adjoint system on the
-active-set-reduced KKT Jacobian.  There is no presolve: the start, the
+methods with sloppy multiplier recovery.  ``backward`` solves one adjoint
+system on the active-set-reduced KKT Jacobian for a loss gradient with
+respect to the primal solution, and returns that adjoint with the point it
+was taken at.  Its ``at`` gives the gradient of any data entries (Q, q, A,
+b, G, h) without forming a dense block; ``backward_through_map`` gathers
+it at a coefficient map's slots.  There is no presolve: the start, the
 iterations, the polish and the adjoint all work on the caller's problem as
 posed, so a singleton row (an initial condition) keeps its variable and dual.
 
@@ -159,16 +161,55 @@ class QpSolution:
     polish_rounds: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionSensitivity:
-    """Gradients of a scalar loss with respect to each data block."""
+    """The adjoint (v_u, v_y, v_mu) of one loss at the point (u, y, mu).
 
-    grad_Q: np.ndarray
-    grad_q: np.ndarray
-    grad_A: np.ndarray
-    grad_b: np.ndarray
-    grad_G: np.ndarray
-    grad_h: np.ndarray
+    ``mu`` and ``v_mu`` have one entry per inequality row and are zero off
+    the rows ``backward`` treated as active.  ``at`` gives the loss gradient
+    with respect to any data entries; the ``grad_*`` properties evaluate it
+    over a whole block, for checks and small problems.
+    """
+
+    u: np.ndarray
+    y: np.ndarray
+    mu: np.ndarray
+    v_u: np.ndarray
+    v_y: np.ndarray
+    v_mu: np.ndarray
+
+    def at(self, block: str, rows, cols) -> np.ndarray:
+        """dL/dX[rows, cols] for the data block named ``block`` (one of
+        'Q', 'q', 'A', 'b', 'G', 'h'); rows and cols broadcast together, and
+        cols is ignored for the vector blocks.  Inactive G rows are exactly
+        zero."""
+        u, y, mu, v_u, v_y, v_mu = self.u, self.y, self.mu, self.v_u, self.v_y, self.v_mu
+        if block == "Q":
+            return -0.5 * (v_u[rows] * u[cols] + u[rows] * v_u[cols])
+        if block == "q":
+            return -v_u[rows]
+        if block == "A":
+            return -(y[rows] * v_u[cols] + v_y[rows] * u[cols])
+        if block == "b":
+            return v_y[rows]
+        if block == "G":
+            return np.where(mu[rows] > 0, -(mu[rows] * v_u[cols] + v_mu[rows] * u[cols]), 0.0)
+        if block == "h":
+            return v_mu[rows]
+        raise QpError(f"unknown block code {str(block)!r}")
+
+    def _block(self, block: str, m: int) -> np.ndarray:
+        rows = np.arange(m)
+        if block in ("q", "b", "h"):
+            return self.at(block, rows, None)
+        return self.at(block, rows[:, None], np.arange(len(self.u)))
+
+    grad_Q = property(lambda self: self._block("Q", len(self.u)))
+    grad_q = property(lambda self: self._block("q", len(self.u)))
+    grad_A = property(lambda self: self._block("A", len(self.y)))
+    grad_b = property(lambda self: self._block("b", len(self.y)))
+    grad_G = property(lambda self: self._block("G", len(self.mu)))
+    grad_h = property(lambda self: self._block("h", len(self.mu)))
 
 
 @dataclass(frozen=True)
@@ -474,59 +515,43 @@ def backward(problem: QpProblem, solution: QpSolution,
     """Vector-Jacobian products of the solution map at an optimal point.
 
     Solves one adjoint system on the active-set-reduced KKT Jacobian with
-    right-hand side ``grad_primal``; the returned blocks satisfy, to first
-    order, dL = <grad_X, dX> for any data perturbation dX.  Inequalities
-    with dual below DEGENERACY_THRESHOLD are treated as inactive; if their
-    slack is also below the threshold a DegenerateActiveSetWarning is issued.
+    right-hand side ``grad_primal`` and returns its solution with the point:
+    ``at`` then satisfies, to first order, dL = <grad_X, dX> for any data
+    perturbation dX.  Inequalities with dual below DEGENERACY_THRESHOLD are
+    treated as inactive; if their slack is also below the threshold a
+    DegenerateActiveSetWarning is issued.
     """
     if solution.status != QpStatus.OPTIMAL:
         raise QpError("backward requires an OPTIMAL solution")
     grad_primal = _vec(grad_primal)
-    n = problem.num_vars
+    n, m_eq = problem.num_vars, problem.num_eq
     if grad_primal.shape != (n,):
         raise QpError(f"grad_primal must have length {n}")
 
-    u, y, mu = solution.primal, solution.dual_eq, solution.dual_in
-    m_eq, m_in = problem.num_eq, problem.num_in
+    u, dual_in = solution.primal, solution.dual_in
+    slack = problem.h - problem.G @ u
+    # interior-point methods leave degenerate pairs with dual and slack both
+    # near sqrt(complementarity), so the floor adapts to the solution's
+    # residual scale
+    threshold = max(DEGENERACY_THRESHOLD,
+                    3.0 * np.sqrt(max(solution.kkt_residual, 0.0)))
+    active = dual_in > threshold
+    degenerate = (~active) & (slack < threshold)
+    if degenerate.any():
+        warnings.warn(
+            f"{int(degenerate.sum())} inequality constraint(s) are degenerate "
+            "(dual and slack both below threshold); treated as inactive",
+            DegenerateActiveSetWarning,
+            stacklevel=2,
+        )
+    act = np.flatnonzero(active)
 
-    if m_in:
-        slack = problem.h - problem.G @ u
-        # interior-point methods leave degenerate pairs with dual and slack
-        # both near sqrt(complementarity), so the floor adapts to the
-        # solution's residual scale
-        threshold = max(DEGENERACY_THRESHOLD,
-                        3.0 * np.sqrt(max(solution.kkt_residual, 0.0)))
-        active = mu > threshold
-        degenerate = (~active) & (slack < threshold)
-        if degenerate.any():
-            warnings.warn(
-                f"{int(degenerate.sum())} inequality constraint(s) are degenerate "
-                "(dual and slack both below threshold); treated as inactive",
-                DegenerateActiveSetWarning,
-                stacklevel=2,
-            )
-        act = np.flatnonzero(active)
-    else:
-        act = np.zeros(0, dtype=int)
-
-    m_act = len(act)
     v = _solve_kkt(problem.Q, problem.A, problem.G,
-                   np.concatenate([grad_primal, np.zeros(m_eq + m_act)]), act)
-
-    v_u = v[:n]
-    v_y = v[n:n + m_eq]
-    v_mu = v[n + m_eq:]
-
-    grad_q = -v_u
-    grad_Q = -0.5 * (np.outer(v_u, u) + np.outer(u, v_u))
-    grad_b = v_y.copy()
-    grad_A = -(np.outer(y, v_u) + np.outer(v_y, u)) if m_eq else np.zeros((0, n))
-    grad_G = np.zeros((m_in, n))
-    grad_h = np.zeros(m_in)
-    if m_act:
-        grad_G[act] = -(np.outer(mu[act], v_u) + np.outer(v_mu, u))
-        grad_h[act] = v_mu
-    return SolutionSensitivity(grad_Q, grad_q, grad_A, grad_b, grad_G, grad_h)
+                   np.concatenate([grad_primal, np.zeros(m_eq + len(act))]), act)
+    mu, v_mu = np.zeros(len(dual_in)), np.zeros(len(dual_in))
+    mu[act] = dual_in[act]
+    v_mu[act] = v[n + m_eq:]
+    return SolutionSensitivity(u, solution.dual_eq, mu, v[:n], v[n:n + m_eq], v_mu)
 
 
 def _entries(M: sp.csr_matrix, rows) -> tuple:
@@ -599,19 +624,14 @@ def _solve_kkt(H, A, G, rhs: np.ndarray, active=_NO_ENTRIES,
 
 def backward_through_map(sensitivity: SolutionSensitivity,
                          coefficient_jacobian: CoefficientMap) -> np.ndarray:
-    """Contract data-block gradients with a coefficient Jacobian.
+    """Contract the adjoint with a coefficient Jacobian.
 
-    Returns dL/dtheta_raw = J' g where g gathers the sensitivity entry of
-    every slot named by the map.
+    Returns dL/dtheta_raw = J' g where g gathers ``sensitivity.at`` at every
+    slot named by the map, one gather per block code.
     """
-    cm, s = coefficient_jacobian, sensitivity
-    grads = {"A": s.grad_A, "b": s.grad_b, "G": s.grad_G, "h": s.grad_h,
-             "Q": s.grad_Q, "q": s.grad_q}
+    cm = coefficient_jacobian
     g = np.empty(len(cm.blocks))
     for code in np.unique(cm.blocks):
-        if code not in grads:
-            raise QpError(f"unknown block code {str(code)!r}")
         at = cm.blocks == code
-        block = grads[code]
-        g[at] = block[cm.rows[at], cm.cols[at]] if block.ndim == 2 else block[cm.rows[at]]
+        g[at] = sensitivity.at(code, cm.rows[at], cm.cols[at])
     return np.asarray(cm.jacobian.T @ g).ravel()

@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import learning, scheduler
+from . import learning
 from .learning import TrainingLog, summarize
 from .rc import ThetaParams
 from .scenarios import DayScenario
@@ -51,23 +51,8 @@ def evaluate_model(theta: ThetaParams, scenarios: list[DayScenario], plant,
     ``num_failed``."""
     if not scenarios:
         raise ValueError("scenarios must be nonempty")
-    pairs = []
-    failed = 0
-    plant = learning._as_plant(plant)
-    for i, scen in enumerate(scenarios):
-        seed = learning._sample_seed(base_seed, seed_tag,
-                                     scen.day_index if scen.day_index >= 0 else i)
-        try:
-            result = scheduler.solve_schedule(theta, scen, tariff, config)
-        except scheduler.ScheduleError:
-            failed += 1
-            continue
-        trace = plant.simulate(result.tau_in, scen.ambient, seed, tariff=tariff,
-                               dt=config.dt)
-        pairs.append((scen, result, trace))
-    if not pairs:
-        raise RuntimeError(f"every scenario failed in split {split!r}")
-
+    pairs, failed = learning.evaluate_scenarios(theta, scenarios, plant, tariff,
+                                                config, seed_tag, base_seed)
     stats = summarize(pairs, tariff, config.topology)
     uniform = [(DayScenario(s.ambient, s.initial_tau, s.label, 1.0 / len(pairs), s.day_index), r, t)
                for s, r, t in pairs]
@@ -83,7 +68,7 @@ def evaluate_model(theta: ThetaParams, scenarios: list[DayScenario], plant,
         expost_cost=stats["expost_cost"],
         cost_error=stats["expost_cost"] - stats["expected_cost"],
         num_scenarios=len(pairs),
-        num_failed=failed,
+        num_failed=len(failed),
         unweighted=unweighted,
     )
 
@@ -142,11 +127,8 @@ def emit_training_curves(training_log: TrainingLog, out_dir: str | Path) -> list
         path = out_dir / f"curves_{split}.csv"
         with open(path, "w", newline="") as fp:
             writer = csv.writer(fp)
-            writer.writerow(["epoch", "hier_loss", "mae", "mse", "err_mean",
-                             "err_std", "expected_cost", "expost_cost"])
+            writer.writerow(["epoch", *learning.METRIC_COLUMNS])
             for r in training_log.rows(split):
-                writer.writerow([r.epoch] + [repr(float(x)) for x in (
-                    r.hier_loss, r.mae, r.mse, r.err_mean, r.err_std,
-                    r.expected_cost, r.expost_cost)])
+                writer.writerow([r.epoch, *r.metric_cells()])
         written.append(path)
     return written

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -258,18 +258,9 @@ def build_hot_year(days: np.ndarray, clustering: ClusterResult,
     """Hot-year stress scenarios (one per cluster); ``initial_tau_for`` maps
     a day index to starting zone temperatures."""
     picks, hottest_cluster = hot_year_days(days, clustering)
-    scenarios = []
-    for ci, day_idx in enumerate(picks):
-        ambient = days[day_idx].copy()
-        if ci == hottest_cluster:
-            ambient = ambient + HOT_YEAR_OFFSET
-        scenarios.append(DayScenario(
-            ambient=ambient,
-            initial_tau=initial_tau_for(day_idx),
-            label=ci,
-            weight=float(clustering.weights[ci]),
-            day_index=int(day_idx),
-        ))
+    scenarios = scenarios_for_days(days, picks, clustering, initial_tau_for)
+    hottest = scenarios[hottest_cluster]
+    scenarios[hottest_cluster] = replace(hottest, ambient=hottest.ambient + HOT_YEAR_OFFSET)
     return scenarios
 
 

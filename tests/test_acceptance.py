@@ -201,7 +201,7 @@ class TestCriterion4RealizablePlant:
         flat0[-1] += 1.0  # hidden capacitance off by a factor e
         theta0 = rc.unpack_like(flat0, theta_star)
 
-        pairs0 = learning.evaluate_scenarios(theta0, scens, sim, tariff, cfg, 0, 0)
+        pairs0, _ = learning.evaluate_scenarios(theta0, scens, sim, tariff, cfg, 0, 0)
         initial = learning.summarize(pairs0, tariff, topo)["hier_loss"]
         tc = learning.TrainConfig(lr=0.06, decay_rate=0.5, decay_gamma=1.3,
                                   max_epochs=50, patience=50, seed=0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflsched import learning, plant, rc, scheduler
+from dflsched import learning, plant, rc, reporting, scheduler
 from dflsched.learning import AdamState, TrainConfig, adam_step
 from dflsched.scenarios import DayScenario
 from conftest import rel_err
@@ -334,3 +334,68 @@ class TestDflTrain:
         assert lines[0].startswith("epoch,split,hier_loss")
         assert len(lines) == 1 + len(log.records)
 
+
+
+class TestFailureInjection:
+    """Schedules that fail on chosen scenarios send training and evaluation
+    into their failure branches."""
+
+    @staticmethod
+    def setup(rng, monkeypatch, failing):
+        theta_star, sim, cfg, tariff, scens = TestDflTrain().small_setup(rng)
+        horizon, z = cfg.comfort_target.shape
+        train, val = ([DayScenario(rng.uniform(-8, 4, horizon), np.full(z, 19.5),
+                                   label, 1 / 3) for label in labels]
+                      for labels in ((0, 1, 2), (10, 11, 12)))
+        solve = scheduler.solve_schedule
+
+        def failing_solve(theta, scen, tariff, config):
+            if scen.label in failing:
+                raise scheduler.ScheduleError(f"injected failure on {scen.label}")
+            return solve(theta, scen, tariff, config)
+
+        monkeypatch.setattr(scheduler, "solve_schedule", failing_solve)
+        theta0 = rc.unpack_like(rc.pack(theta_star) + 0.05, theta_star)
+        return theta0, sim, cfg, tariff, train, val
+
+    @staticmethod
+    def dropped_records(caplog):
+        return [r for r in caplog.records
+                if str(r.msg).startswith("evaluation scenario")]
+
+    def test_training_counts_skips_and_logs_each_dropped_scenario(
+            self, rng, monkeypatch, caplog):
+        theta0, sim, cfg, tariff, train, val = self.setup(rng, monkeypatch, {1, 11})
+        tc = TrainConfig(lr=0.01, max_epochs=2, patience=2, seed=0)
+        with caplog.at_level("WARNING", logger="dflsched.learning"):
+            _, log = learning.dfl_train(theta0, train, sim, tariff, tc, cfg,
+                                        val_scenarios=val)
+        assert log.skipped_samples == 2
+        assert len(log.rows("train")) == len(log.rows("val")) == 2
+        dropped = self.dropped_records(caplog)
+        assert [r.getMessage() for r in dropped] == \
+            ["evaluation scenario 1 skipped: injected failure on 11"] * 2
+
+    def test_evaluate_model_counts_failures_without_dropped_records(
+            self, rng, monkeypatch, caplog):
+        theta0, sim, cfg, tariff, _, val = self.setup(rng, monkeypatch, {10, 12})
+        with caplog.at_level("WARNING", logger="dflsched.learning"):
+            report = reporting.evaluate_model(theta0, val, sim, tariff, cfg)
+        assert (report.num_failed, report.num_scenarios) == (2, 1)
+        assert self.dropped_records(caplog) == []
+
+    def test_every_validation_scenario_failing_raises(self, rng, monkeypatch):
+        theta0, sim, cfg, tariff, train, val = self.setup(rng, monkeypatch, {10, 11, 12})
+        with pytest.raises(RuntimeError, match="every evaluation scenario failed"):
+            reporting.evaluate_model(theta0, val, sim, tariff, cfg)
+        with pytest.raises(RuntimeError, match="every evaluation scenario failed"):
+            learning.dfl_train(theta0, train, sim, tariff,
+                               TrainConfig(max_epochs=1, patience=1), cfg,
+                               val_scenarios=val)
+
+    def test_every_training_sample_failing_raises(self, rng, monkeypatch):
+        theta0, sim, cfg, tariff, train, val = self.setup(rng, monkeypatch, {0, 1, 2})
+        with pytest.raises(RuntimeError, match="every scenario failed to solve in epoch 0"):
+            learning.dfl_train(theta0, train, sim, tariff,
+                               TrainConfig(max_epochs=1, patience=1), cfg,
+                               val_scenarios=val)

@@ -435,19 +435,124 @@ class TestBackwardThroughMap:
         np.testing.assert_allclose(qp.backward_through_map(sens, cmap), sens.grad_b)
 
     def test_reciprocal_chain_rule(self):
-        # coefficient a = 1/C: dL/dC = -g / C^2 for slot gradient g
+        # coefficient a = 1/C: dL/dC = -g / C^2 for slot gradient g; the A
+        # slot's gradient -(y v_u + v_y u) is g at y = 0, v_u = u = 1, v_y = -g
         import scipy.sparse as sp
         c_val = 2.5
         g = 0.7
         sens = qp.SolutionSensitivity(
-            grad_Q=np.zeros((1, 1)), grad_q=np.zeros(1),
-            grad_A=np.array([[g]]), grad_b=np.zeros(1),
-            grad_G=np.zeros((0, 1)), grad_h=np.zeros(0))
+            u=np.ones(1), y=np.zeros(1), mu=np.zeros(0),
+            v_u=np.ones(1), v_y=np.array([-g]), v_mu=np.zeros(0))
+        assert sens.at("A", np.array([0]), np.array([0])) == [g]
         cmap = qp.CoefficientMap(
             blocks=np.array(["A"]), rows=np.array([0]), cols=np.array([0]),
             jacobian=sp.csr_matrix(np.array([[-1.0 / c_val ** 2]])))
         out = qp.backward_through_map(sens, cmap)
         np.testing.assert_allclose(out, [-g / c_val ** 2])
+
+    def test_unknown_block_code_rejected(self, rng):
+        import scipy.sparse as sp
+        p = random_strictly_convex_qp(rng, n=3, m_eq=1, m_in=2)
+        sens = qp.backward(p, solve_tight(p), rng.normal(size=3))
+        with pytest.raises(qp.QpError, match="unknown block code 'X'"):
+            sens.at("X", np.array([0]), np.array([0]))
+        cmap = qp.CoefficientMap(
+            blocks=np.array(["b", "X"]), rows=np.array([0, 0]),
+            cols=np.array([-1, 0]), jacobian=sp.identity(2, format="csr"))
+        with pytest.raises(qp.QpError, match="unknown block code 'X'"):
+            qp.backward_through_map(sens, cmap)
+
+
+def outer_product_blocks(sens: qp.SolutionSensitivity, act: np.ndarray) -> dict:
+    """Every data-block gradient as the dense outer products that
+    ``backward`` once returned, from the compact active-row adjoint."""
+    u, y, v_u, v_y = sens.u, sens.y, sens.v_u, sens.v_y
+    n, m_eq, m_in = len(u), len(y), len(sens.mu)
+    mu, v_mu = sens.mu[act], sens.v_mu[act]
+    grad_G = np.zeros((m_in, n))
+    grad_h = np.zeros(m_in)
+    if len(act):
+        grad_G[act] = -(np.outer(mu, v_u) + np.outer(v_mu, u))
+        grad_h[act] = v_mu
+    return {
+        "Q": -0.5 * (np.outer(v_u, u) + np.outer(u, v_u)),
+        "q": -v_u,
+        "A": -(np.outer(y, v_u) + np.outer(v_y, u)) if m_eq else np.zeros((0, n)),
+        "b": v_y.copy(),
+        "G": grad_G,
+        "h": grad_h,
+    }
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSlotGradients:
+    """``SolutionSensitivity.at`` and the ``grad_*`` blocks it builds equal
+    the dense outer-product formulas bit for bit."""
+
+    @staticmethod
+    def problem(rng, case):
+        if case == "no-active-row":
+            p = random_strictly_convex_qp(rng, n=5, m_eq=2, m_in=4)
+            return qp.QpProblem(5, p.Q, p.q, p.A, p.b, p.G, p.h + 1e3)
+        n, m_eq, m_in = {"mixed": (6, 2, 8), "no-equalities": (6, 0, 8),
+                         "no-inequalities": (5, 3, 0)}[case]
+        return random_strictly_convex_qp(rng, n=n, m_eq=m_eq, m_in=m_in)
+
+    @pytest.mark.parametrize("case", ["mixed", "no-equalities",
+                                      "no-inequalities", "no-active-row"])
+    def test_blocks_equal_outer_products(self, rng, case):
+        p = self.problem(rng, case)
+        s = solve_tight(p)
+        sens = qp.backward(p, s, rng.normal(size=p.num_vars))
+        threshold = max(qp.DEGENERACY_THRESHOLD, 3.0 * np.sqrt(s.kkt_residual))
+        act = np.flatnonzero(s.dual_in > threshold)
+        if case in ("mixed", "no-equalities"):
+            assert 0 < len(act) < p.num_in
+        else:
+            assert len(act) == 0
+
+        inactive = np.setdiff1d(np.arange(p.num_in), act)
+        assert np.all(sens.mu[inactive] == 0.0) and np.all(sens.v_mu[inactive] == 0.0)
+        assert same_bits(sens.mu[act], s.dual_in[act])
+
+        want = outer_product_blocks(sens, act)
+        n, m_eq, m_in = p.num_vars, p.num_eq, p.num_in
+        shapes = {"Q": (n, n), "q": (n,), "A": (m_eq, n), "b": (m_eq,),
+                  "G": (m_in, n), "h": (m_in,)}
+        for block, shape in shapes.items():
+            got = getattr(sens, f"grad_{block}")
+            assert got.shape == shape, block
+            assert same_bits(got, want[block]), block
+            if not want[block].size:
+                continue
+            # scattered slots, repeats included, as a coefficient map names them
+            rows = rng.integers(0, shape[0], size=17)
+            cols = rng.integers(0, n, size=17)
+            if len(shape) == 1:
+                assert same_bits(sens.at(block, rows, -np.ones_like(rows)),
+                                 want[block][rows]), block
+            else:
+                assert same_bits(sens.at(block, rows, cols),
+                                 want[block][rows, cols]), block
+
+    def test_map_gathers_the_slot_rule(self, rng):
+        import scipy.sparse as sp
+        p = self.problem(rng, "mixed")
+        sens = qp.backward(p, solve_tight(p), rng.normal(size=p.num_vars))
+        blocks = np.array(["Q", "q", "A", "b", "G", "h"] * 3)
+        rows = np.array([rng.integers(0, m) for m in
+                         (p.num_vars, p.num_vars, p.num_eq, p.num_eq,
+                          p.num_in, p.num_in)] * 3)
+        cols = rng.integers(0, p.num_vars, size=len(blocks))
+        jac = sp.csr_matrix(rng.normal(size=(len(blocks), 4)))
+        cmap = qp.CoefficientMap(blocks, rows, cols, jac)
+        g = np.array([getattr(sens, f"grad_{b}")[r, c] if b in ("Q", "A", "G")
+                      else getattr(sens, f"grad_{b}")[r]
+                      for b, r, c in zip(blocks, rows, cols)])
+        assert same_bits(qp.backward_through_map(sens, cmap), jac.T @ g)
 
 
 class TestValidate:

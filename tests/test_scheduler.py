@@ -251,6 +251,29 @@ class TestCoefficientMapEndToEnd:
         assert rel_err(fd, grad) <= 1e-4
 
 
+    def test_adjoint_allocates_no_dense_block(self, rng):
+        """backward and the map's gather stay below the size of the smallest
+        dense coefficient block, the m_eq x n equality block."""
+        import tracemalloc
+        topo = rc.default_topology(5)
+        cfg = make_config(topo, 24, weight=2.0, zone_cap_h=8.0, zone_cap_c=8.0)
+        alpha = np.eye(5) * 0.9 + rng.uniform(0, 0.02, size=(5, 5))
+        theta = rc.ThetaParams(alpha, np.full(5, 0.9), np.full(5, 0.85),
+                               np.full(5, 4.0), np.full(5, 2.0))
+        scen = scenario_of(rng.uniform(-8, 6, 24), np.full(5, 19.0))
+        res = scheduler.solve_schedule(theta, scen, scheduler.default_tariff(24), cfg)
+        cmap = scheduler.coefficient_map(theta, scen, cfg)
+        g = rng.normal(size=res.index.num_vars)
+        p = res.problem
+        tracemalloc.start()
+        try:
+            qp.backward_through_map(qp.backward(p, res.solution, g), cmap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.num_eq * p.num_vars * 8
+
+
 class TestDynamicsSlotLayout:
     def test_map_slots_are_where_assemble_puts_theta(self, rng):
         """coefficient_map names exactly the A and b entries that assemble
