@@ -328,6 +328,7 @@ class TrainingLog:
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
     skipped_samples: int = 0
+    val_dropped: list[int] = field(default_factory=list)  # per epoch
 
     def rows(self, split: str | None = None) -> list[EpochRecord]:
         return [r for r in self.records if split is None or r.split == split]
@@ -345,7 +346,8 @@ class TrainingLog:
             "lr", "decay_gamma", "decay_rate", "max_epochs", "patience",
             "snr", "beta1", "beta2", "eps", "seed")},
             "best_epoch": self.best_epoch,
-            "skipped_samples": self.skipped_samples}
+            "skipped_samples": self.skipped_samples,
+            "val_dropped": self.val_dropped}
         if extra:
             doc.update(extra)
         Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
@@ -412,7 +414,10 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
     A scenario whose QP fails to solve is skipped with a warning; an epoch
     in which every scenario fails aborts the run.  A validation scenario
     that fails is dropped with a warning, and the validation weights
-    renormalize over the survivors.
+    renormalize over the survivors; ``TrainingLog.val_dropped`` counts the
+    drops of each epoch.  Early stopping still compares the validation
+    losses as they are, so an epoch that dropped scenarios is compared over
+    a different subset than one that did not.
     """
     topo = schedule_config.topology
     if val_scenarios is None:
@@ -470,6 +475,7 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
                                                 base_seed=config.seed)
         for i, exc in dropped.items():
             log.warning("evaluation scenario %d skipped: %s", i, exc)
+        training_log.val_dropped.append(len(dropped))
         val_stats = summarize(val_pairs, tariff, topo)
         training_log.records.append(EpochRecord(epoch, "val", **val_stats))
 

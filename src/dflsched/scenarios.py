@@ -121,8 +121,22 @@ class ClusterResult:
 
 
 def _distances_to(days: np.ndarray, medoid_days: np.ndarray) -> np.ndarray:
-    diff = days[:, None, :] - medoid_days[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    """Euclidean distance from each of ``days`` (n, T) to each of
+    ``medoid_days`` (m, T), as an (n, m) matrix.
+
+    Built one row at a time, so the only temporaries are (m, T) and the
+    memory cost is the (n, m) result itself: there is no (n, m, T)
+    difference cube.  Each entry is still the difference, the square,
+    numpy's sum over the contiguous T axis and the square root, the same
+    operations in the same order as a broadcast over the cube, so the
+    distances are bit-for-bit those of the broadcast.  A Gram-matrix,
+    ``cdist`` or ``einsum`` form sums in another order, changes the last
+    bits of many entries and could flip a near-tie medoid.
+    """
+    out = np.empty((len(days), len(medoid_days)))
+    for i, day in enumerate(days):
+        out[i] = np.sqrt(((day - medoid_days) ** 2).sum(axis=1))
+    return out
 
 
 def kmedoid_cluster(days: np.ndarray, k: int,
@@ -132,6 +146,9 @@ def kmedoid_cluster(days: np.ndarray, k: int,
     Distance is Euclidean on the raw 24-hour profiles.  The swap phase
     applies best-improvement moves over the non-fixed medoids only and is
     fully deterministic.
+
+    Memory: one n x n float64 distance matrix (about 1 MB for a 365-day
+    year) and no n x n x T temporary; see ``_distances_to``.
     """
     days = np.asarray(days, dtype=float)
     n = len(days)

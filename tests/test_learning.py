@@ -1,5 +1,7 @@
 """Training machinery: Adam, noise injection, the hierarchical loss and its
 subgradient, pre-training, and the decision-focused loop."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,13 +366,17 @@ class TestFailureInjection:
                 if str(r.msg).startswith("evaluation scenario")]
 
     def test_training_counts_skips_and_logs_each_dropped_scenario(
-            self, rng, monkeypatch, caplog):
+            self, rng, monkeypatch, caplog, tmp_path):
         theta0, sim, cfg, tariff, train, val = self.setup(rng, monkeypatch, {1, 11})
         tc = TrainConfig(lr=0.01, max_epochs=2, patience=2, seed=0)
         with caplog.at_level("WARNING", logger="dflsched.learning"):
             _, log = learning.dfl_train(theta0, train, sim, tariff, tc, cfg,
                                         val_scenarios=val)
         assert log.skipped_samples == 2
+        assert log.val_dropped == [1, 1]
+        log.save_sidecar(tmp_path / "sidecar.json", tc)
+        sidecar = json.loads((tmp_path / "sidecar.json").read_text())
+        assert (sidecar["skipped_samples"], sidecar["val_dropped"]) == (2, [1, 1])
         assert len(log.rows("train")) == len(log.rows("val")) == 2
         dropped = self.dropped_records(caplog)
         assert [r.getMessage() for r in dropped] == \

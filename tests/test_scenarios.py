@@ -58,6 +58,12 @@ class TestPickExtremes:
         assert (cold, hot, var) == (0, 1, 2)  # ties break to earliest, then next-best
 
 
+def _broadcast_distances(days, medoid_days):
+    """The reference: the (n, m, T) difference cube, squared, summed over T."""
+    diff = days[:, None, :] - medoid_days[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
+
+
 class TestKMedoids:
     def test_every_day_its_own_medoid(self):
         rng = np.random.default_rng(1)
@@ -76,7 +82,7 @@ class TestKMedoids:
         sides = sorted(int(m) // 20 for m in result.medoids)
         assert sides == [0, 1]
         # exhaustive medoid-pair search
-        dist = np.sqrt(((days[:, None, :] - days[None, :, :]) ** 2).sum(axis=2))
+        dist = _broadcast_distances(days, days)
         best = min(dist[:, [i, j]].min(axis=1).sum()
                    for i in range(40) for j in range(i + 1, 40))
         assert result.cost == pytest.approx(best, rel=1e-12)
@@ -118,7 +124,7 @@ class TestKMedoids:
         rng = np.random.default_rng(7)
         days = rng.normal(size=(90, 24))
         result = scenarios.kmedoid_cluster(days, k=5)
-        dist = np.sqrt(((days[:, None, :] - days[None, :, :]) ** 2).sum(axis=2))
+        dist = _broadcast_distances(days, days)
         for _ in range(25):
             meds = rng.choice(90, size=5, replace=False)
             assert result.cost <= dist[:, meds].min(axis=1).sum() + 1e-9
@@ -135,6 +141,46 @@ class TestKMedoids:
         b = scenarios.kmedoid_cluster(days, k=5, fixed=(3,))
         np.testing.assert_array_equal(a.medoids, b.medoids)
         np.testing.assert_array_equal(a.assignment, b.assignment)
+
+
+def _distance_cases():
+    rng = np.random.default_rng(11)
+    rows = rng.normal(10.0, 8.0, size=(12, 24))
+    return {
+        "synthetic-year": scenarios.days_matrix(scenarios.synthesize_year(7)),
+        "one-day": rng.normal(size=(1, 24)),
+        "five-hours": rng.normal(size=(40, 5)),
+        "integer-valued": rng.integers(-20, 40, size=(60, 24)).astype(float),
+        "repeated-rows": np.vstack([rows, rows[::-1], rows[:4]]),
+    }
+
+
+class TestDayDistances:
+    @pytest.mark.parametrize("case", sorted(_distance_cases()))
+    def test_rows_equal_the_broadcast_bytes(self, case):
+        """Row-by-row distances are the broadcast's, bit for bit, so medoid
+        ties break as they always did."""
+        days = _distance_cases()[case]
+        ours = scenarios._distances_to(days, days)
+        ref = _broadcast_distances(days, days)
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_clustering_a_year_allocates_no_difference_cube(self):
+        """The traced peak of clustering a 365-day year stays below three
+        n x n float64 matrices; a 365 x 365 x 24 cube is 25.6 MB."""
+        import tracemalloc
+        days = scenarios.days_matrix(scenarios.synthesize_year(7))
+        fixed = scenarios.pick_extremes(days)
+        # a first call does numpy's one-off set-up outside the trace
+        scenarios.kmedoid_cluster(days[:20], k=4)
+        tracemalloc.start()
+        try:
+            scenarios.kmedoid_cluster(days, k=10, fixed=fixed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(days) ** 2 * 8
 
 
 class TestOrderCycle:
