@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -82,13 +83,15 @@ def load_config(path: str | None) -> dict:
 
 
 def apply_overrides(cfg: dict, seed, zones, epochs) -> dict:
+    """A flag left at None falls back to its DFLSCHED_* variable, so both
+    set the config the same way: epochs also cap the DFL patience."""
     env = os.environ
-    if env.get("DFLSCHED_SEED"):
-        cfg["seed"] = int(env["DFLSCHED_SEED"])
-    if env.get("DFLSCHED_ZONES"):
-        cfg["zones"] = int(env["DFLSCHED_ZONES"])
-    if env.get("DFLSCHED_EPOCHS"):
-        cfg["dfl"]["max_epochs"] = int(env["DFLSCHED_EPOCHS"])
+    if seed is None and env.get("DFLSCHED_SEED"):
+        seed = env["DFLSCHED_SEED"]
+    if zones is None and env.get("DFLSCHED_ZONES"):
+        zones = env["DFLSCHED_ZONES"]
+    if epochs is None and env.get("DFLSCHED_EPOCHS"):
+        epochs = env["DFLSCHED_EPOCHS"]
     if seed is not None:
         cfg["seed"] = int(seed)
     if zones is not None:
@@ -133,21 +136,15 @@ def build_schedule_config(cfg: dict) -> scheduler.ScheduleConfig:
         floor_cap_h=cap["floor_h"], floor_cap_c=cap["floor_c"],
         line_margin=cap["line_margin"])
     weights = scheduler.default_comfort_weights(
-        cfg["horizon"], topo.num_zones, weekday=True,
+        cfg["horizon"], topo.num_zones,
         work=comfort["work"], evening=comfort["evening"], night=comfort["night"])
-    return scheduler.ScheduleConfig(
-        topology=topo, dt=base.dt, comfort_target=base.comfort_target,
-        comfort_weight=weights, zone_cap_h=base.zone_cap_h,
-        zone_cap_c=base.zone_cap_c, floor_cap_h=base.floor_cap_h,
-        floor_cap_c=base.floor_cap_c, line_capacity=base.line_capacity)
+    return replace(base, comfort_weight=weights)
 
 
 def build_plant_spec(cfg: dict) -> PlantSpec:
     """Plant from the same config file as everything else; any PlantSpec
     field may be overridden in the 'plant' section (scalars broadcast over
     zones/floors)."""
-    from dataclasses import fields, replace
-
     topo = build_topology(cfg)
     section = dict(cfg["plant"])
     spec = plant.default_plant_spec(topo, noise_std=section.pop("noise_std", 0.15),

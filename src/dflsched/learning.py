@@ -133,7 +133,6 @@ def inject_noise(theta: ThetaParams, snr: float, seed: int) -> ThetaParams:
         eta_c=positive(theta.eta_c),
         r=positive(theta.r),
         c=positive(theta.c),
-        alpha_mask=theta.alpha_mask,
     )
 
 
@@ -225,11 +224,10 @@ def loss_gradient_wrt_expected(expected: np.ndarray, observed: np.ndarray,
 # pre-training (the two-stage baseline's identification step)
 
 
-def _mse_and_gradient(flat: np.ndarray, template: ThetaParams,
-                      ds: TransitionDataset, rows: np.ndarray) -> tuple[float, np.ndarray]:
+def _mse_and_gradient(flat: np.ndarray, ds: TransitionDataset,
+                      rows: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared one-step prediction error over the given rows and its
     gradient with respect to the flat (log-space) parameter vector."""
-    theta = rc.unpack_like(flat, template)
     tau = ds.tau[rows]
     amb = ds.tau_amb[rows]
     p_h = ds.p_h[rows]
@@ -237,6 +235,7 @@ def _mse_and_gradient(flat: np.ndarray, template: ThetaParams,
     target = ds.tau_next[rows]
     n, z = tau.shape
     dt = ds.dt
+    theta = rc.unpack(flat, z)
 
     pred = rc.rc_step(theta, tau, amb, p_h, p_c, dt)
     err = pred - target
@@ -253,11 +252,7 @@ def _mse_and_gradient(flat: np.ndarray, template: ThetaParams,
     injection = (theta.eta_h * p_h - theta.eta_c * p_c) * inv_c
     grad_log_c = -(w * (injection * dt + amb_minus * leak)).sum(axis=0)
 
-    if template.alpha_mask is not None:
-        grad_alpha_flat = grad_alpha.ravel()[np.flatnonzero(template.alpha_mask.ravel())]
-    else:
-        grad_alpha_flat = grad_alpha.ravel()
-    grad = np.concatenate([grad_alpha_flat, grad_log_eta_h, grad_log_eta_c,
+    grad = np.concatenate([grad_alpha.ravel(), grad_log_eta_h, grad_log_eta_c,
                            grad_log_r, grad_log_c])
     return mse, grad
 
@@ -285,16 +280,16 @@ def pretrain(dataset: TransitionDataset, theta_init: ThetaParams,
         order = rng.permutation(train)
         for start in range(0, len(order), config.batch_size):
             rows = order[start:start + config.batch_size]
-            loss, grad = _mse_and_gradient(state.params, theta_init, dataset, rows)
+            loss, grad = _mse_and_gradient(state.params, dataset, rows)
             if not np.isfinite(loss):
                 raise RuntimeError(f"pre-training diverged at epoch {epoch}: loss={loss}")
             state = adam_step(state, grad, lr_t, config.beta1, config.beta2, config.eps)
-        val_loss, _ = _mse_and_gradient(state.params, theta_init, dataset, hold)
+        val_loss, _ = _mse_and_gradient(state.params, dataset, hold)
         if val_loss < best_loss - 1e-15:
             best_loss, best_params, best_epoch = val_loss, state.params.copy(), epoch
         elif epoch - best_epoch >= config.patience:
             break
-    return rc.unpack_like(best_params, theta_init)
+    return rc.unpack(best_params, theta_init.num_zones)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +415,7 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
     a different subset than one that did not.
     """
     topo = schedule_config.topology
+    z = theta_init.num_zones
     if val_scenarios is None:
         val_scenarios = train_scenarios
 
@@ -430,9 +426,8 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
     best_loss = np.inf
     best_epoch = -1
 
-    n_alpha = state.params.size - 4 * theta_init.num_zones
     lr_scale = np.ones_like(state.params)
-    lr_scale[:n_alpha] = config.alpha_lr_scale
+    lr_scale[:z * z] = config.alpha_lr_scale
 
     for epoch in range(config.max_epochs):
         lr_t = config.lr_at(epoch) * lr_scale
@@ -461,7 +456,7 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
 
             state = adam_step(state, grad_theta, lr_t, config.beta1,
                               config.beta2, config.eps)
-            theta = rc.unpack_like(state.params, theta_init)
+            theta = rc.unpack(state.params, z)
 
         if failures == len(train_scenarios):
             raise RuntimeError(f"every scenario failed to solve in epoch {epoch}")
@@ -487,4 +482,4 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
             break
 
     training_log.best_epoch = best_epoch
-    return rc.unpack_like(best_params, theta_init), training_log
+    return rc.unpack(best_params, z), training_log

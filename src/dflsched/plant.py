@@ -10,7 +10,7 @@ it from the affine RC model the optimizer learns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +44,7 @@ class PlantSpec:
     cop_max: float
     duct_loss: float  # fraction of AHU thermal lost in ducts
     fan_coeff: float  # electrical kW per thermal kW moved through the AHU
-    gain_occupied: np.ndarray  # (Z,) kW during occupied weekday hours
+    gain_occupied: np.ndarray  # (Z,) kW during occupied hours (Mon-Fri, 7-18 h)
     gain_base: np.ndarray  # (Z,) kW otherwise
     solar_gain_peak: float  # kW per zone at solar noon
     noise_std: float  # kW, Gaussian on gains per substep
@@ -139,8 +139,21 @@ class SimulationTrace:
     energy_storage_kwh: float = 0.0  # air+mass heat content change
 
 
+def adjacency_mask(topology: ZoneTopology) -> np.ndarray:
+    """Which zones exchange heat: self terms, same-floor pairs and
+    vertically stacked zones (same position on adjacent floors)."""
+    z = topology.num_zones
+    mask = np.eye(z, dtype=bool)
+    for members in topology.floors:
+        mask[np.ix_(members, members)] = True
+    for lower, upper in zip(topology.floors, topology.floors[1:]):
+        for a, b in zip(lower, upper):
+            mask[a, b] = mask[b, a] = True
+    return mask
+
+
 def _adjacency(topology: ZoneTopology) -> np.ndarray:
-    adj = rc.adjacency_mask(topology).astype(float)
+    adj = adjacency_mask(topology).astype(float)
     np.fill_diagonal(adj, 0.0)
     return adj
 
@@ -386,16 +399,6 @@ BASELINE_COOL_SETBACK = 26.0
 
 
 @dataclass(frozen=True)
-class BaselinePolicy:
-    """Conventional fixed schedule: one occupied setpoint, heating/cooling
-    setbacks otherwise."""
-
-    occupied: float = BASELINE_OCCUPIED
-    heat_setback: float = BASELINE_HEAT_SETBACK
-    cool_setback: float = BASELINE_COOL_SETBACK
-
-
-@dataclass(frozen=True)
 class TransitionDataset:
     """Hourly transitions (tau_t, tau_amb, p_h, p_c, tau_next), electrical
     powers, for pre-training the RC model."""
@@ -411,23 +414,21 @@ class TransitionDataset:
         return len(self.tau_amb)
 
 
-def baseline_band(hour_of_day: int, day_of_week: int, num_zones: int,
-                  policy: BaselinePolicy | None = None):
-    if policy is None:
-        policy = BaselinePolicy()
+def baseline_band(hour_of_day: int, day_of_week: int, num_zones: int):
+    """The conventional fixed schedule's band: the occupied setpoint, or the
+    heating/cooling setbacks otherwise."""
     if _occupied(hour_of_day, day_of_week):
-        lo = hi = np.full(num_zones, policy.occupied)
+        lo = hi = np.full(num_zones, BASELINE_OCCUPIED)
     else:
-        lo = np.full(num_zones, policy.heat_setback)
-        hi = np.full(num_zones, policy.cool_setback)
+        lo = np.full(num_zones, BASELINE_HEAT_SETBACK)
+        hi = np.full(num_zones, BASELINE_COOL_SETBACK)
     return lo, hi
 
 
 def historical_rollout(spec: PlantSpec, weather_year: np.ndarray, seed: int,
-                       dt: float = 1.0,
-                       policy: BaselinePolicy | None = None) -> TransitionDataset:
+                       dt: float = 1.0) -> TransitionDataset:
     """One year under the conventional occupancy schedule (21 degC occupied,
-    17/26 degC setbacks by default), recorded as hourly transitions."""
+    17/26 degC setbacks), recorded as hourly transitions."""
     weather_year = np.asarray(weather_year, dtype=float).ravel()
     if len(weather_year) % 24:
         raise PlantError("weather series must cover whole days")
@@ -435,7 +436,7 @@ def historical_rollout(spec: PlantSpec, weather_year: np.ndarray, seed: int,
 
     def band(t):
         hour_of_day, day_of_week = t % 24, (t // 24) % 7
-        lo, hi = baseline_band(hour_of_day, day_of_week, z, policy)
+        lo, hi = baseline_band(hour_of_day, day_of_week, z)
         return lo, hi, _occupied(hour_of_day, day_of_week)
 
     run = _drive(spec, np.full(z, 20.0), weather_year, band,

@@ -12,7 +12,7 @@ survives arbitrary gradient steps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ class RcError(Exception):
 
 @dataclass(frozen=True)
 class ZoneTopology:
-    """Zone count, floor membership and labels.
+    """Zone count and floor membership.
 
     Floors partition a subset of the zones; every conditioned zone belongs
     to exactly one floor.
@@ -33,13 +33,8 @@ class ZoneTopology:
 
     num_zones: int
     floors: tuple[tuple[int, ...], ...]
-    zone_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.zone_names:
-            object.__setattr__(
-                self, "zone_names",
-                tuple(f"Z{z:02d}" for z in range(self.num_zones)))
         seen = set()
         for floor in self.floors:
             for z in floor:
@@ -48,8 +43,6 @@ class ZoneTopology:
                 if z in seen:
                     raise RcError(f"zone {z} appears in more than one floor")
                 seen.add(z)
-        if len(self.zone_names) != self.num_zones:
-            raise RcError("zone_names length must equal num_zones")
 
     @property
     def num_floors(self) -> int:
@@ -71,9 +64,6 @@ class ThetaParams:
     """RC parameters: inter-zonal coupling (alpha, 1/h), heating and cooling
     efficiencies (dimensionless), lumped resistance (degC/kW) and capacitance
     (kWh/degC).  eta/r/c must be strictly positive; alpha is unrestricted.
-
-    ``alpha_mask`` optionally restricts which alpha entries are learnable;
-    unmasked entries stay fixed at their current values.
     """
 
     alpha: np.ndarray
@@ -81,7 +71,6 @@ class ThetaParams:
     eta_c: np.ndarray
     r: np.ndarray
     c: np.ndarray
-    alpha_mask: np.ndarray | None = None
 
     def __post_init__(self):
         z = len(self.eta_h)
@@ -97,38 +86,23 @@ class ThetaParams:
                 raise RcError(f"{name} must be strictly positive")
         if not np.all(np.isfinite(self.alpha)):
             raise RcError("alpha must be finite")
-        if self.alpha_mask is not None:
-            mask = np.asarray(self.alpha_mask, dtype=bool)
-            if mask.shape != (z, z):
-                raise RcError(f"alpha_mask must be {z}x{z}")
-            object.__setattr__(self, "alpha_mask", mask)
 
     @property
     def num_zones(self) -> int:
         return len(self.eta_h)
 
-    @property
-    def num_params(self) -> int:
-        z = self.num_zones
-        n_alpha = int(self.alpha_mask.sum()) if self.alpha_mask is not None else z * z
-        return n_alpha + 4 * z
 
-
-def default_theta(num_zones: int, dt: float, seed: int = 0,
-                  alpha_mask: np.ndarray | None = None) -> ThetaParams:
+def default_theta(num_zones: int, dt: float, seed: int = 0) -> ThetaParams:
     """Initializer used before any pre-training: near-identity persistence
     plus small coupling noise, and coarse physical priors for eta/r/c."""
     rng = np.random.default_rng(seed)
     alpha = np.eye(num_zones) / dt + rng.uniform(-0.01, 0.01, size=(num_zones, num_zones))
-    if alpha_mask is not None:
-        alpha = np.where(alpha_mask | np.eye(num_zones, dtype=bool), alpha, 0.0)
     return ThetaParams(
         alpha=alpha,
         eta_h=np.full(num_zones, 0.9),
         eta_c=np.full(num_zones, 0.9),
         r=np.full(num_zones, 5.0),
         c=np.full(num_zones, 3.0),
-        alpha_mask=alpha_mask,
     )
 
 
@@ -169,17 +143,10 @@ def rollout(theta: ThetaParams, tau_0: np.ndarray, tau_amb: np.ndarray,
 # flat parameter vector (alpha raw, eta/r/c in log-space)
 
 
-def _alpha_indices(theta: ThetaParams) -> np.ndarray:
-    z = theta.num_zones
-    if theta.alpha_mask is None:
-        return np.arange(z * z)
-    return np.flatnonzero(theta.alpha_mask.ravel())
-
-
 def pack(theta: ThetaParams) -> np.ndarray:
-    """Flatten to [alpha (masked, row-major), log eta_h, log eta_c, log r, log c]."""
+    """Flatten to [alpha (row-major), log eta_h, log eta_c, log r, log c]."""
     return np.concatenate([
-        theta.alpha.ravel()[_alpha_indices(theta)],
+        theta.alpha.ravel(),
         np.log(theta.eta_h),
         np.log(theta.eta_c),
         np.log(theta.r),
@@ -187,22 +154,14 @@ def pack(theta: ThetaParams) -> np.ndarray:
     ])
 
 
-def unpack(flat: np.ndarray, num_zones: int,
-           alpha_mask: np.ndarray | None = None,
-           alpha_fixed: np.ndarray | None = None) -> ThetaParams:
-    """Inverse of ``pack``.  With a mask, non-learnable alpha entries come
-    from ``alpha_fixed`` (zeros when omitted)."""
+def unpack(flat: np.ndarray, num_zones: int) -> ThetaParams:
+    """Inverse of ``pack``."""
     flat = np.asarray(flat, dtype=float)
     z = num_zones
-    n_alpha = int(alpha_mask.sum()) if alpha_mask is not None else z * z
+    n_alpha = z * z
     if flat.shape != (n_alpha + 4 * z,):
         raise RcError(f"flat vector must have length {n_alpha + 4 * z}, got {flat.shape}")
-    if alpha_mask is None:
-        alpha = flat[:n_alpha].reshape(z, z).copy()
-    else:
-        alpha = np.zeros(z * z) if alpha_fixed is None else np.asarray(alpha_fixed, dtype=float).ravel().copy()
-        alpha[np.flatnonzero(alpha_mask.ravel())] = flat[:n_alpha]
-        alpha = alpha.reshape(z, z)
+    alpha = flat[:n_alpha].reshape(z, z).copy()
     rest = flat[n_alpha:]
     return ThetaParams(
         alpha=alpha,
@@ -210,12 +169,7 @@ def unpack(flat: np.ndarray, num_zones: int,
         eta_c=np.exp(rest[z:2 * z]),
         r=np.exp(rest[2 * z:3 * z]),
         c=np.exp(rest[3 * z:]),
-        alpha_mask=alpha_mask,
     )
-
-
-def unpack_like(flat: np.ndarray, template: ThetaParams) -> ThetaParams:
-    return unpack(flat, template.num_zones, template.alpha_mask, template.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +208,8 @@ def coefficient_jacobian(theta: ThetaParams, dt: float) -> sp.csr_matrix:
     derivatives with respect to the log-space entries.
     """
     z = theta.num_zones
-    a_idx = _alpha_indices(theta)
-    n_alpha = len(a_idx)
+    n_alpha = z * z
+    a_idx = np.arange(n_alpha)  # flat alpha entry k moves m_tau entry k (both row-major)
     i = np.arange(z)
     col_eta_h, col_eta_c, col_r, col_c = n_alpha + i + z * np.arange(4)[:, None]
     row_ph, row_pc, row_amb = z * z + i + z * np.arange(3)[:, None]
@@ -264,7 +218,7 @@ def coefficient_jacobian(theta: ThetaParams, dt: float) -> sp.csr_matrix:
     # respect to a log-space entry is plus or minus the coefficient itself
     sc = step_coefficients(theta, dt)
     rows, cols, vals = (np.concatenate(part) for part in zip(
-        (a_idx, np.arange(n_alpha), np.full(n_alpha, dt)),  # d m_tau / d alpha = dt
+        (a_idx, a_idx, np.full(n_alpha, dt)),  # d m_tau / d alpha = dt
         (diag, col_r, sc.m_amb),  # d(-dt/(rc))/dlog r = +dt/(rc)
         (diag, col_c, sc.m_amb),
         (row_ph, col_eta_h, sc.m_ph),
@@ -283,7 +237,8 @@ def coefficient_jacobian(theta: ThetaParams, dt: float) -> sp.csr_matrix:
 
 def save_checkpoint(theta: ThetaParams, path: str | Path) -> None:
     """JSON key-value checkpoint; floats round-trip bit-exactly through
-    Python's repr-based JSON encoding."""
+    Python's repr-based JSON encoding.  The ``rc-theta-v1`` format keeps its
+    mask key, always null: every alpha entry is learnable."""
     doc = {
         "format": "rc-theta-v1",
         "num_zones": theta.num_zones,
@@ -293,7 +248,7 @@ def save_checkpoint(theta: ThetaParams, path: str | Path) -> None:
         "eta_c": theta.eta_c.tolist(),
         "r": theta.r.tolist(),
         "c": theta.c.tolist(),
-        "alpha_mask": theta.alpha_mask.tolist() if theta.alpha_mask is not None else None,
+        "alpha_mask": None,
     }
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
 
@@ -302,25 +257,11 @@ def load_checkpoint(path: str | Path) -> ThetaParams:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != "rc-theta-v1":
         raise RcError(f"{path}: not an RC parameter checkpoint")
+    if doc.get("alpha_mask") is not None:
+        raise RcError(f"{path}: alpha masks are not supported; "
+                      "every alpha entry is learnable")
     fields = {k: np.asarray(doc[k], dtype=float) for k in ("alpha", "eta_h", "eta_c", "r", "c")}
     if doc.get("log_space"):
         for k in ("eta_h", "eta_c", "r", "c"):
             fields[k] = np.exp(fields[k])
-    mask = doc.get("alpha_mask")
-    return ThetaParams(
-        alpha_mask=np.asarray(mask, dtype=bool) if mask is not None else None,
-        **fields,
-    )
-
-
-def adjacency_mask(topology: ZoneTopology) -> np.ndarray:
-    """Optional alpha sparsity: self terms, same-floor pairs and vertically
-    stacked zones (same position on adjacent floors)."""
-    z = topology.num_zones
-    mask = np.eye(z, dtype=bool)
-    for members in topology.floors:
-        mask[np.ix_(members, members)] = True
-    for lower, upper in zip(topology.floors, topology.floors[1:]):
-        for a, b in zip(lower, upper):
-            mask[a, b] = mask[b, a] = True
-    return mask
+    return ThetaParams(**fields)

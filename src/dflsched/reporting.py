@@ -59,13 +59,7 @@ def evaluate_model(theta: ThetaParams, scenarios: list[DayScenario], plant,
     unweighted = summarize(uniform, tariff, config.topology)
     return MetricsReport(
         split=split,
-        hier_loss=stats["hier_loss"],
-        mae=stats["mae"],
-        mse=stats["mse"],
-        err_mean=stats["err_mean"],
-        err_std=stats["err_std"],
-        expected_cost=stats["expected_cost"],
-        expost_cost=stats["expost_cost"],
+        **stats,
         cost_error=stats["expost_cost"] - stats["expected_cost"],
         num_scenarios=len(pairs),
         num_failed=len(failed),
@@ -89,8 +83,7 @@ def compare(report_ito: MetricsReport, report_dfl: MetricsReport) -> dict:
     def ratio(a: float, b: float) -> float:
         return a / b if b not in (0, 0.0) else float("inf") if a else 1.0
 
-    metrics = ["hier_loss", "mae", "mse", "err_mean", "err_std",
-               "expected_cost", "expost_cost", "cost_error"]
+    metrics = [*learning.METRIC_COLUMNS, "cost_error"]
     table = {
         m: {
             "ito": getattr(report_ito, m),

@@ -356,12 +356,14 @@ def save_bundle(path: str | Path, *, clustering: ClusterResult,
 
 
 def load_bundle(path: str | Path) -> dict:
+    """Read a bundle written by ``save_bundle``; every split's scenario
+    weights must sum to 1."""
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != "scenario-bundle-v1":
         raise ScenarioError(f"{path}: not a scenario bundle")
 
     def dec(items) -> list[DayScenario]:
-        return [
+        split = [
             DayScenario(
                 ambient=np.asarray(d["ambient"]),
                 initial_tau=np.asarray(d["initial_tau"]),
@@ -371,6 +373,8 @@ def load_bundle(path: str | Path) -> dict:
             )
             for d in items
         ]
+        check_weights(split)
+        return split
 
     return {
         "clustering": ClusterResult(

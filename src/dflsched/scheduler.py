@@ -109,24 +109,19 @@ class ScheduleConfig:
         return self.comfort_target.shape[0]
 
 
-def default_comfort_weights(horizon: int, num_zones: int, weekday: bool = True,
-                            work: float = 5.0, evening: float = 0.5,
-                            night: float = 0.1) -> np.ndarray:
+def default_comfort_weights(horizon: int, num_zones: int, work: float = 5.0,
+                            evening: float = 0.5, night: float = 0.1) -> np.ndarray:
     """Working hours weigh heavily, evenings lightly, nights barely; the
     target step k shapes the temperature reached at hour k+1."""
     w = np.full(horizon, night)
     hours = (np.arange(horizon) + 1) % 24
-    if weekday:
-        w[(hours >= 7) & (hours < 18)] = work
-        w[(hours >= 18) & (hours < 22)] = evening
-    else:
-        w[(hours >= 7) & (hours < 22)] = evening
+    w[(hours >= 7) & (hours < 18)] = work
+    w[(hours >= 18) & (hours < 22)] = evening
     return np.tile(w[:, None], (1, num_zones))
 
 
 def default_schedule_config(topology: ZoneTopology, horizon: int = 24,
                             dt: float = 1.0, target: float = 21.0,
-                            weekday: bool = True,
                             zone_cap_h: float = 16.0, zone_cap_c: float = 4.0,
                             floor_cap_h: float = 60.0, floor_cap_c: float = 16.0,
                             line_margin: float = 1.2) -> ScheduleConfig:
@@ -135,7 +130,7 @@ def default_schedule_config(topology: ZoneTopology, horizon: int = 24,
         topology=topology,
         dt=dt,
         comfort_target=np.full((horizon, z), target),
-        comfort_weight=default_comfort_weights(horizon, z, weekday),
+        comfort_weight=default_comfort_weights(horizon, z),
         zone_cap_h=np.full((horizon, z), zone_cap_h),
         zone_cap_c=np.full((horizon, z), zone_cap_c),
         floor_cap_h=np.full((horizon, f), floor_cap_h),

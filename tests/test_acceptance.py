@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 The nonlinear-plant reproduction (criterion 5) runs its desk-scale 5-zone
-variant here; the full 15-zone run (about 205 s on 2 cores) is enabled
+variant here; the full 15-zone run (about 161 s on 2 cores) is enabled
 by setting DFLSCHED_FULL_ACCEPTANCE=1.
 """
 import json
@@ -163,8 +163,8 @@ class TestCriterion3EndToEndGradient:
             up, dn = flat0.copy(), flat0.copy()
             up[k] += eps
             dn[k] -= eps
-            fd[k] = (loss_of(rc.unpack_like(up, theta))
-                     - loss_of(rc.unpack_like(dn, theta))) / (2 * eps)
+            fd[k] = (loss_of(rc.unpack(up, theta.num_zones))
+                     - loss_of(rc.unpack(dn, theta.num_zones))) / (2 * eps)
         err = rel_err(fd, grad)
         report(3, "end-to-end-gradient", err <= 1e-3, f"(rel err {err:.2e})")
 
@@ -199,7 +199,7 @@ class TestCriterion4RealizablePlant:
 
         flat0 = rc.pack(theta_star)
         flat0[-1] += 1.0  # hidden capacitance off by a factor e
-        theta0 = rc.unpack_like(flat0, theta_star)
+        theta0 = rc.unpack(flat0, theta_star.num_zones)
 
         pairs0, _ = learning.evaluate_scenarios(theta0, scens, sim, tariff, cfg, 0, 0)
         initial = learning.summarize(pairs0, tariff, topo)["hier_loss"]
@@ -254,7 +254,7 @@ class TestCriterion5PaperFindingReproduction:
                and elapsed <= 300.0, detail)
 
     @pytest.mark.skipif(not os.environ.get("DFLSCHED_FULL_ACCEPTANCE"),
-                        reason="full 15-zone run (~205 s on 2 cores); set "
+                        reason="full 15-zone run (~161 s on 2 cores); set "
                                "DFLSCHED_FULL_ACCEPTANCE=1 to enable")
     def test_full_variant_fifteen_zones(self, tmp_path):
         start = time.perf_counter()

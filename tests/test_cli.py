@@ -116,6 +116,16 @@ class TestConfig:
         cfg = cli.apply_overrides(cli.load_config("default"), 5, None, None)
         assert cfg["seed"] == 5
 
+    def test_env_epochs_take_the_flag_path(self, monkeypatch):
+        """DFLSCHED_EPOCHS below the default patience clamps patience as
+        --epochs does, and the flag still beats the variable."""
+        monkeypatch.setenv("DFLSCHED_EPOCHS", "3")
+        cfg = cli.apply_overrides(cli.load_config("default"), None, None, None)
+        assert (cfg["dfl"]["max_epochs"], cfg["dfl"]["patience"]) == (3, 3)
+        assert cli.build_train_config(cfg, "dfl").max_epochs == 3
+        cfg = cli.apply_overrides(cli.load_config("default"), None, None, 2)
+        assert (cfg["dfl"]["max_epochs"], cfg["dfl"]["patience"]) == (2, 2)
+
     def test_user_config_merges_over_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dfl": {"lr": 0.123}, "zones": 4}))

@@ -300,7 +300,7 @@ class TestDflTrain:
     def test_zero_learning_rate_is_a_noop(self, rng):
         theta_star, sim, cfg, tariff, scens = self.small_setup(rng)
         flat0 = rc.pack(theta_star) + 0.05
-        theta0 = rc.unpack_like(flat0, theta_star)
+        theta0 = rc.unpack(flat0, theta_star.num_zones)
         tc = TrainConfig(lr=1e-300, max_epochs=3, patience=3, seed=0)
         best, log = learning.dfl_train(theta0, scens, sim, tariff, tc, cfg)
         np.testing.assert_allclose(rc.pack(best), flat0, atol=1e-12)
@@ -309,7 +309,7 @@ class TestDflTrain:
 
     def test_two_runs_identical(self, rng):
         theta_star, sim, cfg, tariff, scens = self.small_setup(rng)
-        theta0 = rc.unpack_like(rc.pack(theta_star) + 0.05, theta_star)
+        theta0 = rc.unpack(rc.pack(theta_star) + 0.05, theta_star.num_zones)
         tc = TrainConfig(lr=0.01, max_epochs=4, patience=4, seed=0)
         best_a, log_a = learning.dfl_train(theta0, scens, sim, tariff, tc, cfg)
         best_b, log_b = learning.dfl_train(theta0, scens, sim, tariff, tc, cfg)
@@ -319,7 +319,7 @@ class TestDflTrain:
 
     def test_best_epoch_matches_log_minimum(self, rng):
         theta_star, sim, cfg, tariff, scens = self.small_setup(rng)
-        theta0 = rc.unpack_like(rc.pack(theta_star) + 0.08, theta_star)
+        theta0 = rc.unpack(rc.pack(theta_star) + 0.08, theta_star.num_zones)
         tc = TrainConfig(lr=0.02, max_epochs=8, patience=8, seed=0)
         best, log = learning.dfl_train(theta0, scens, sim, tariff, tc, cfg)
         vals = [r.hier_loss for r in log.rows("val")]
@@ -327,7 +327,7 @@ class TestDflTrain:
 
     def test_log_csv_round_trip(self, rng, tmp_path):
         theta_star, sim, cfg, tariff, scens = self.small_setup(rng)
-        theta0 = rc.unpack_like(rc.pack(theta_star) + 0.05, theta_star)
+        theta0 = rc.unpack(rc.pack(theta_star) + 0.05, theta_star.num_zones)
         tc = TrainConfig(lr=0.01, max_epochs=2, patience=2, seed=0)
         _, log = learning.dfl_train(theta0, scens, sim, tariff, tc, cfg)
         path = tmp_path / "log.csv"
@@ -357,7 +357,7 @@ class TestFailureInjection:
             return solve(theta, scen, tariff, config)
 
         monkeypatch.setattr(scheduler, "solve_schedule", failing_solve)
-        theta0 = rc.unpack_like(rc.pack(theta_star) + 0.05, theta_star)
+        theta0 = rc.unpack(rc.pack(theta_star) + 0.05, theta_star.num_zones)
         return theta0, sim, cfg, tariff, train, val
 
     @staticmethod

@@ -1,4 +1,6 @@
 """RC thermal model: dynamics, packing, coefficient Jacobians."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,17 +10,14 @@ from dflsched import rc
 from conftest import fd_gradient, rel_err
 
 
-def random_theta(rng, z, mask=None):
+def random_theta(rng, z):
     alpha = np.eye(z) + rng.normal(0, 0.05, size=(z, z))
-    if mask is not None:
-        alpha = np.where(mask, alpha, 0.0)
     return rc.ThetaParams(
         alpha=alpha,
         eta_h=rng.uniform(0.5, 1.2, size=z),
         eta_c=rng.uniform(0.5, 1.2, size=z),
         r=rng.uniform(2.0, 8.0, size=z),
         c=rng.uniform(1.0, 5.0, size=z),
-        alpha_mask=mask,
     )
 
 
@@ -121,7 +120,6 @@ class TestPackUnpack:
     def test_flat_length_dense_15_zones(self, rng):
         theta = random_theta(rng, 15)
         assert rc.pack(theta).shape == (15 * 15 + 4 * 15,)
-        assert theta.num_params == 285
 
     def test_unit_params_log_to_zero(self):
         theta = rc.ThetaParams([[1.0]], [1.0], [1.0], [1.0], [1.0])
@@ -131,22 +129,13 @@ class TestPackUnpack:
     def test_round_trip_bitwise(self, rng):
         theta = random_theta(rng, 6)
         flat = rc.pack(theta)
-        back = rc.unpack_like(flat, theta)
+        back = rc.unpack(flat, theta.num_zones)
         np.testing.assert_allclose(back.alpha, theta.alpha, rtol=1e-15)
         np.testing.assert_allclose(back.eta_h, theta.eta_h, rtol=1e-15)
         np.testing.assert_allclose(back.eta_c, theta.eta_c, rtol=1e-15)
         np.testing.assert_allclose(back.r, theta.r, rtol=1e-15)
         np.testing.assert_allclose(back.c, theta.c, rtol=1e-15)
         np.testing.assert_array_equal(rc.pack(back), flat)
-
-    def test_masked_alpha_layout(self, rng):
-        topo = rc.default_topology(10)
-        mask = rc.adjacency_mask(topo)
-        theta = random_theta(rng, 10, mask=mask)
-        flat = rc.pack(theta)
-        assert flat.shape == (int(mask.sum()) + 40,)
-        back = rc.unpack_like(flat, theta)
-        np.testing.assert_allclose(back.alpha, theta.alpha, rtol=1e-15)
 
     def test_length_mismatch_rejected(self, rng):
         theta = random_theta(rng, 3)
@@ -181,14 +170,13 @@ class TestCoefficientJacobian:
 
     def test_full_map_finite_differences(self, rng):
         dt = 1.0
-        mask = rc.adjacency_mask(rc.default_topology(4, 2))  # drops 4 of 16 alphas
-        for theta in (random_theta(rng, 2), random_theta(rng, 4, mask)):
+        for theta in (random_theta(rng, 2), random_theta(rng, 4)):
             flat0 = rc.pack(theta)
             jac = rc.coefficient_jacobian(theta, dt).toarray()
             assert jac.shape == (theta.num_zones * (theta.num_zones + 3), len(flat0))
 
             def coeffs(flat):
-                sc = rc.step_coefficients(rc.unpack_like(flat, theta), dt)
+                sc = rc.step_coefficients(rc.unpack(flat, theta.num_zones), dt)
                 return np.concatenate([sc.m_tau.ravel(), sc.m_ph, sc.m_pc, sc.m_amb])
 
             eps = 1e-7
@@ -212,14 +200,17 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.r, theta.r)
         np.testing.assert_array_equal(back.c, theta.c)
 
-    def test_mask_preserved(self, rng, tmp_path):
-        topo = rc.default_topology(10)
-        mask = rc.adjacency_mask(topo)
-        theta = random_theta(rng, 10, mask=mask)
+    def test_alpha_mask_key_null_and_a_mask_rejected(self, rng, tmp_path):
+        """rc-theta-v1 keeps its alpha_mask key, always null; a checkpoint
+        that restricts alpha is refused rather than loaded dense."""
         path = tmp_path / "theta.json"
-        rc.save_checkpoint(theta, path)
-        back = rc.load_checkpoint(path)
-        np.testing.assert_array_equal(back.alpha_mask, mask)
+        rc.save_checkpoint(random_theta(rng, 3), path)
+        doc = json.loads(path.read_text())
+        assert "alpha_mask" in doc and doc["alpha_mask"] is None
+        doc["alpha_mask"] = np.eye(3, dtype=bool).tolist()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(rc.RcError, match="alpha mask"):
+            rc.load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"

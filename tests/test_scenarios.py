@@ -1,6 +1,7 @@
 """Weather synthesis, extremes, k-medoids clustering, cycle ordering and the
 hot-year stress set."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -269,7 +270,8 @@ class TestFileFormats:
         back = scenarios.read_weather_csv(path)
         np.testing.assert_array_equal(back, series)
 
-    def test_bundle_round_trip(self, tmp_path):
+    @staticmethod
+    def save_small_bundle(path):
         series = scenarios.synthesize_year(4)
         days = scenarios.days_matrix(series)
         clustering = scenarios.kmedoid_cluster(days, k=4)
@@ -277,11 +279,24 @@ class TestFileFormats:
         train = scenarios.scenarios_for_days(days, clustering.medoids, clustering, tau)
         hot = scenarios.build_hot_year(days, clustering, tau)
         order = scenarios.order_cycle(np.stack([s.ambient for s in train]))
-        path = tmp_path / "bundle.json"
         scenarios.save_bundle(path, clustering=clustering, order=order,
                               train=train, val=train, test=train, hot_year=hot)
+        return clustering, order, train
+
+    def test_bundle_round_trip(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        clustering, order, train = self.save_small_bundle(path)
         back = scenarios.load_bundle(path)
         np.testing.assert_array_equal(back["clustering"].medoids, clustering.medoids)
         np.testing.assert_array_equal(back["order"], order)
         np.testing.assert_array_equal(back["train"][0].ambient, train[0].ambient)
         scenarios.check_weights(back["train"])
+
+    def test_bundle_with_unnormalized_split_weights_rejected(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        self.save_small_bundle(path)
+        doc = json.loads(path.read_text())
+        doc["test"][0]["weight"] += 0.01  # a hand edit: test weights sum to 1.01
+        path.write_text(json.dumps(doc))
+        with pytest.raises(scenarios.ScenarioError, match="sum to"):
+            scenarios.load_bundle(path)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dflsched import qp, rc, scheduler
+from dflsched import plant, qp, rc, scheduler
 from dflsched.scenarios import DayScenario
 from conftest import rel_err
 
@@ -243,9 +243,9 @@ class TestCoefficientMapEndToEnd:
             up, dn = flat0.copy(), flat0.copy()
             up[k] += eps
             dn[k] -= eps
-            r_up = scheduler.solve_schedule(rc.unpack_like(up, theta), scen, tariff,
+            r_up = scheduler.solve_schedule(rc.unpack(up, theta.num_zones), scen, tariff,
                                             cfg, tolerance=1e-10, max_iter=100)
-            r_dn = scheduler.solve_schedule(rc.unpack_like(dn, theta), scen, tariff,
+            r_dn = scheduler.solve_schedule(rc.unpack(dn, theta.num_zones), scen, tariff,
                                             cfg, tolerance=1e-10, max_iter=100)
             fd[k] = (g @ r_up.solution.primal - g @ r_dn.solution.primal) / (2 * eps)
         assert rel_err(fd, grad) <= 1e-4
@@ -280,7 +280,7 @@ class TestDynamicsSlotLayout:
         fills from the step coefficients, and nothing else moves with theta."""
         topo = rc.default_topology(7, 5)  # floors of 5 and 2 zones
         z, horizon = topo.num_zones, 6
-        mask = rc.adjacency_mask(topo)
+        mask = plant.adjacency_mask(topo)  # zero alphas off the plant's adjacency
         cfg = make_config(topo, horizon, weight=2.0)
         tariff = scheduler.default_tariff(horizon)
         amb = rng.normal(5.0, 5.0, horizon)
@@ -289,8 +289,7 @@ class TestDynamicsSlotLayout:
         def masked_theta():
             alpha = np.where(mask, np.eye(z) + rng.normal(0, 0.05, size=(z, z)), 0.0)
             return rc.ThetaParams(alpha, rng.uniform(0.5, 1.2, z), rng.uniform(0.5, 1.2, z),
-                                  rng.uniform(2.0, 8.0, z), rng.uniform(1.0, 5.0, z),
-                                  alpha_mask=mask)
+                                  rng.uniform(2.0, 8.0, z), rng.uniform(1.0, 5.0, z))
 
         theta = masked_theta()
         problem, idx = scheduler.assemble(theta, scen, tariff, cfg)
