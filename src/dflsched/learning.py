@@ -354,21 +354,20 @@ def _sample_seed(base: int, tag: int, index: int) -> int:
 
 def evaluate_scenarios(theta: ThetaParams, scenarios: list[DayScenario],
                        plant, tariff: Tariff, config: ScheduleConfig,
-                       seed_tag: int, base_seed: int):
+                       base_seed: int):
     """Solve and simulate each scenario.  Returns the (scenario, result,
     trace) triples that solved and a dict from the index of each scenario
     whose QP failed to its ScheduleError; raises RuntimeError when none
     solved.  Callers decide how to report a drop."""
     pairs, failed = [], {}
     for i, scen in enumerate(scenarios):
-        seed = _sample_seed(base_seed, seed_tag, scen.day_index if scen.day_index >= 0 else i)
+        seed = _sample_seed(base_seed, 0, scen.day_index if scen.day_index >= 0 else i)
         try:
             result = scheduler.solve_schedule(theta, scen, tariff, config)
         except ScheduleError as exc:
             failed[i] = exc
             continue
-        trace = plant.simulate(result.tau_in, scen.ambient, seed, tariff=tariff,
-                               dt=config.dt)
+        trace = plant.simulate(result.tau_in, scen.ambient, seed, dt=config.dt)
         pairs.append((scen, result, trace))
     if not pairs:
         raise RuntimeError("every evaluation scenario failed to solve")
@@ -388,8 +387,7 @@ def summarize(pairs, tariff: Tariff, topology: ZoneTopology) -> dict:
         mse += w * float((err ** 2).mean())
         e_mean += w * float(err.mean())
         expected += w * result.expected_cost
-        expost += w * (trace.expost_cost if trace.expost_cost is not None
-                       else tariff.cost_of(trace.p_import_obs, result.dt))
+        expost += w * tariff.cost_of(trace.p_import_obs, result.dt)
     err_var = max(mse - e_mean ** 2, 0.0)  # pooled-mixture variance
     return {
         "hier_loss": float(hier), "mae": float(mae), "mse": float(mse),
@@ -443,7 +441,7 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
                 log.warning("epoch %d sample %d skipped: %s", epoch, i, exc)
                 continue
             trace = plant.simulate(result.tau_in, scen.ambient, seed,
-                                   tariff=tariff, dt=schedule_config.dt)
+                                   dt=schedule_config.dt)
             train_pairs.append((scen, result, trace))
 
             gmat = loss_gradient_wrt_expected(result.p_hvac, trace.p_hvac_obs,
@@ -466,8 +464,7 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
             training_log.records.append(EpochRecord(epoch, "train", **stats))
 
         val_pairs, dropped = evaluate_scenarios(theta, val_scenarios, plant, tariff,
-                                                schedule_config, seed_tag=0,
-                                                base_seed=config.seed)
+                                                schedule_config, config.seed)
         for i, exc in dropped.items():
             log.warning("evaluation scenario %d skipped: %s", i, exc)
         training_log.val_dropped.append(len(dropped))

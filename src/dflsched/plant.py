@@ -7,6 +7,9 @@ electrical powers.  No gradients, by construction: two thermal nodes per
 zone, a nonlinear envelope convection law, an ambient-dependent cooling
 COP, duct losses, scheduled internal gains and process noise all separate
 it from the affine RC model the optimizer learns.
+
+Every run starts on a Monday at 0 h, so a scenario day is a weekday.  The
+plant returns no bill: callers price the observed import.
 """
 from __future__ import annotations
 
@@ -129,9 +132,8 @@ class SimulationTrace:
     tau_obs: np.ndarray  # (T+1, Z) hourly observed zone temperatures
     p_hvac_obs: np.ndarray  # (T, Z) ex-post zonal electrical power
     p_import_obs: np.ndarray  # (T,)
-    expost_cost: float | None = None
-    p_heat_obs: np.ndarray | None = None  # (T, Z) electrical, heating share
-    p_cool_obs: np.ndarray | None = None  # (T, Z) electrical, cooling share
+    p_heat_obs: np.ndarray  # (T, Z) electrical, heating share
+    p_cool_obs: np.ndarray  # (T, Z) electrical, cooling share
     # thermal bookkeeping over the run (kWh), for energy-sanity checks
     energy_delivered_kwh: float = 0.0
     energy_envelope_kwh: float = 0.0  # negative when the building loses heat
@@ -164,8 +166,12 @@ def _solar_profile(hour_frac: np.ndarray, peak: float) -> np.ndarray:
     return peak * np.where((hour_frac >= 6.0) & (hour_frac <= 18.0), np.maximum(x, 0.0), 0.0)
 
 
-def _occupied(hour_of_day: int, day_of_week: int) -> bool:
-    return day_of_week < 5 and 7 <= hour_of_day < 18
+def _calendar(hours: int) -> np.ndarray:
+    """Occupancy of each hour of a run that starts on a Monday at 0 h:
+    Mon-Fri, 7-18 h."""
+    t = np.arange(hours)
+    hour_of_day = t % 24
+    return ((t // 24) % 7 < 5) & (hour_of_day >= 7) & (hour_of_day < 18)
 
 
 class _Run(NamedTuple):
@@ -175,19 +181,21 @@ class _Run(NamedTuple):
     energy: tuple | None  # delivered, envelope, gains, storage (kWh)
 
 
-def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray, band,
-           rng: np.random.Generator, dt: float, energy: bool = False) -> _Run:
+def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray,
+           lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator, dt: float,
+           energy: bool = False) -> _Run:
     """The plant's time-stepping loop, shared by every public entry point.
 
     Air and mass nodes start at ``tau0`` with an empty integrator, then
     each of the ``len(weather)`` hours runs ``spec.substeps`` controller
-    and thermal substeps.  ``band(t)`` gives hour t's tracked band
-    ``(lo, hi)`` (lo == hi for exact setpoints) and whether it is occupied.
-    PI control tracks the band; the integrator only accumulates while the
-    equipment can deliver the command (conditional-integration
-    anti-windup).  Floor AHU coils curtail proportionally at their rating
-    and reheat tops up heating up to its own; zones on no floor get no HVAC.
-    ``energy`` adds the run's thermal bookkeeping.
+    and thermal substeps.  ``lo[t]`` and ``hi[t]`` bound hour t's tracked
+    band (equal for exact setpoints); each row is (Z,) or (1,), broadcast
+    over zones.  Occupancy follows ``_calendar``.  PI control tracks the
+    band; the integrator only accumulates while the equipment can deliver
+    the command (conditional-integration anti-windup).  Floor AHU coils
+    curtail proportionally at their rating and reheat tops up heating up to
+    its own; zones on no floor get no HVAC.  ``energy`` adds the run's
+    thermal bookkeeping.
     """
     z = spec.topology.num_zones
     n = len(weather)
@@ -237,8 +245,8 @@ def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray, band,
     e_delivered = e_envelope = e_gains = 0.0
     flows = np.empty((2, m, z))  # q_hvac and q_env per substep, for energy
 
-    for t in range(n):
-        lo, hi, occupied = band(t)
+    for t, occupied in enumerate(_calendar(n).tolist()):
+        band_lo, band_hi = lo[t], hi[t]
         ambient = np.full(z, weather[t])
         cop = np.full(z, spec.cop(weather[t]))
         base = spec.gain_occupied if occupied else spec.gain_base
@@ -248,7 +256,7 @@ def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray, band,
         acc_h = np.zeros(z)
         acc_c = np.zeros(z)
         for k in range(m):
-            err = np.minimum(np.maximum(t_air, lo), hi) - t_air
+            err = np.minimum(np.maximum(t_air, band_lo), band_hi) - t_air
             cmd = kp * err + ki * integral
             signed[0] = cmd
             np.negative(cmd, out=signed[1])
@@ -301,14 +309,14 @@ def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray, band,
 
 
 def simulate_day(spec: PlantSpec, setpoints: np.ndarray, weather: np.ndarray,
-                 seed: int, day_of_week: int = 0, tariff=None,
-                 dt: float = 1.0) -> SimulationTrace:
+                 seed: int, dt: float = 1.0) -> SimulationTrace:
     """Track hourly setpoints at sub-hourly resolution and return hourly
     observations.  Deterministic given (spec, setpoints, weather, seed).
     The plant never fails: saturation is physical behavior.
 
     During hour t the controller tracks ``setpoints[t+1]``, the temperature
-    the schedule wants reached by the end of the step.
+    the schedule wants reached by the end of the step.  The run starts on a
+    Monday at 0 h.
     """
     setpoints = np.asarray(setpoints, dtype=float)
     weather = np.asarray(weather, dtype=float).ravel()
@@ -317,17 +325,12 @@ def simulate_day(spec: PlantSpec, setpoints: np.ndarray, weather: np.ndarray,
     if setpoints.shape != (t_h + 1, z):
         raise PlantError(f"setpoints must have shape {(t_h + 1, z)}, got {setpoints.shape}")
 
-    def band(t):
-        target = setpoints[t + 1]
-        return target, target, _occupied(t % 24, (day_of_week + t // 24) % 7)
-
-    run = _drive(spec, setpoints[0], weather, band, np.random.default_rng(seed),
-                 dt, energy=True)
+    target = setpoints[1:]
+    run = _drive(spec, setpoints[0], weather, target, target,
+                 np.random.default_rng(seed), dt, energy=True)
     p_hvac = run.p_heat + run.p_cool
-    p_import = p_hvac.sum(axis=1)
-    cost = tariff.cost_of(p_import, dt) if tariff is not None else None
     delivered, envelope, gains, storage = run.energy
-    return SimulationTrace(run.tau, p_hvac, p_import, cost, run.p_heat,
+    return SimulationTrace(run.tau, p_hvac, p_hvac.sum(axis=1), run.p_heat,
                            run.p_cool, energy_delivered_kwh=delivered,
                            energy_envelope_kwh=envelope,
                            energy_gains_kwh=gains,
@@ -340,27 +343,20 @@ class Plant:
     def __init__(self, spec: PlantSpec):
         self.spec = spec
 
-    def simulate(self, setpoints, ambient, seed, day_of_week=0, tariff=None,
-                 dt=1.0) -> SimulationTrace:
-        return simulate_day(self.spec, setpoints, ambient, seed,
-                            day_of_week=day_of_week, tariff=tariff, dt=dt)
+    def simulate(self, setpoints, ambient, seed, dt=1.0) -> SimulationTrace:
+        return simulate_day(self.spec, setpoints, ambient, seed, dt=dt)
 
 
 class ExactRcPlant:
     """Realizable diagnostic plant: an RC model with hidden parameters and a
     perfect inverse controller.  When the learned parameters equal the hidden
-    ones, observed powers reproduce the schedule exactly (zero noise)."""
+    ones, observed powers reproduce the schedule exactly (zero noise).
+    ``seed`` is unused: nothing is random."""
 
-    def __init__(self, theta: ThetaParams, dt: float = 1.0,
-                 cap_h: float | None = None, cap_c: float | None = None):
+    def __init__(self, theta: ThetaParams):
         self.theta = theta
-        self.dt = dt
-        self.cap_h = cap_h
-        self.cap_c = cap_c
 
-    def simulate(self, setpoints, ambient, seed, day_of_week=0, tariff=None,
-                 dt=None) -> SimulationTrace:
-        dt = self.dt if dt is None else dt
+    def simulate(self, setpoints, ambient, seed, dt=1.0) -> SimulationTrace:
         setpoints = np.asarray(setpoints, dtype=float)
         ambient = np.asarray(ambient, dtype=float).ravel()
         th = self.theta
@@ -376,17 +372,11 @@ class ExactRcPlant:
             q_net = (setpoints[t + 1] - drift) * th.c / dt
             heat = np.maximum(q_net, 0.0) / th.eta_h
             cool = np.maximum(-q_net, 0.0) / th.eta_c
-            if self.cap_h is not None:
-                heat = np.minimum(heat, self.cap_h)
-            if self.cap_c is not None:
-                cool = np.minimum(cool, self.cap_c)
             p_h[t] = heat
             p_c[t] = cool
             tau[t + 1] = rc.rc_step(th, tau[t], ambient[t], heat, cool, dt)
         p_hvac = p_h + p_c
-        p_import = p_hvac.sum(axis=1)
-        cost = tariff.cost_of(p_import, dt) if tariff is not None else None
-        return SimulationTrace(tau, p_hvac, p_import, cost, p_h, p_c)
+        return SimulationTrace(tau, p_hvac, p_hvac.sum(axis=1), p_h, p_c)
 
 
 # ---------------------------------------------------------------------------
@@ -414,49 +404,37 @@ class TransitionDataset:
         return len(self.tau_amb)
 
 
-def baseline_band(hour_of_day: int, day_of_week: int, num_zones: int):
-    """The conventional fixed schedule's band: the occupied setpoint, or the
-    heating/cooling setbacks otherwise."""
-    if _occupied(hour_of_day, day_of_week):
-        lo = hi = np.full(num_zones, BASELINE_OCCUPIED)
-    else:
-        lo = np.full(num_zones, BASELINE_HEAT_SETBACK)
-        hi = np.full(num_zones, BASELINE_COOL_SETBACK)
+def baseline_band(hours: int) -> tuple[np.ndarray, np.ndarray]:
+    """The conventional fixed schedule's band over ``hours`` from a Monday
+    at 0 h, as (hours, 1) columns shared by every zone: the occupied
+    setpoint, or the heating/cooling setbacks otherwise."""
+    occupied = _calendar(hours)[:, None]
+    lo = np.where(occupied, BASELINE_OCCUPIED, BASELINE_HEAT_SETBACK)
+    hi = np.where(occupied, BASELINE_OCCUPIED, BASELINE_COOL_SETBACK)
     return lo, hi
 
 
 def historical_rollout(spec: PlantSpec, weather_year: np.ndarray, seed: int,
                        dt: float = 1.0) -> TransitionDataset:
-    """One year under the conventional occupancy schedule (21 degC occupied,
-    17/26 degC setbacks), recorded as hourly transitions."""
+    """One year from a Monday under the conventional occupancy schedule
+    (21 degC occupied, 17/26 degC setbacks), recorded as hourly
+    transitions."""
     weather_year = np.asarray(weather_year, dtype=float).ravel()
     if len(weather_year) % 24:
         raise PlantError("weather series must cover whole days")
     z = spec.topology.num_zones
-
-    def band(t):
-        hour_of_day, day_of_week = t % 24, (t // 24) % 7
-        lo, hi = baseline_band(hour_of_day, day_of_week, z)
-        return lo, hi, _occupied(hour_of_day, day_of_week)
-
-    run = _drive(spec, np.full(z, 20.0), weather_year, band,
-                 np.random.default_rng(seed), dt)
+    run = _drive(spec, np.full(z, 20.0), weather_year,
+                 *baseline_band(len(weather_year)), np.random.default_rng(seed), dt)
     return TransitionDataset(run.tau[:-1], weather_year.copy(), run.p_heat,
                              run.p_cool, run.tau[1:], dt)
 
 
 def warmup_initial_tau(spec: PlantSpec, preceding_day_weather: np.ndarray,
-                       seed: int, dt: float = 1.0,
-                       day_of_week: int = 0) -> np.ndarray:
+                       seed: int, dt: float = 1.0) -> np.ndarray:
     """Zone temperatures after running the baseline policy over the
-    preceding day; used as each scenario's initial condition."""
+    preceding day, a Monday; used as each scenario's initial condition."""
     weather = np.asarray(preceding_day_weather, dtype=float).ravel()
     z = spec.topology.num_zones
-
-    def band(t):
-        lo, hi = baseline_band(t % 24, day_of_week, z)
-        return lo, hi, _occupied(t % 24, day_of_week)
-
-    run = _drive(spec, np.full(z, 20.0), weather, band,
+    run = _drive(spec, np.full(z, 20.0), weather, *baseline_band(len(weather)),
                  np.random.default_rng(seed), dt)
     return run.tau[-1].copy()

@@ -238,7 +238,8 @@ def coefficient_jacobian(theta: ThetaParams, dt: float) -> sp.csr_matrix:
 def save_checkpoint(theta: ThetaParams, path: str | Path) -> None:
     """JSON key-value checkpoint; floats round-trip bit-exactly through
     Python's repr-based JSON encoding.  The ``rc-theta-v1`` format keeps its
-    mask key, always null: every alpha entry is learnable."""
+    mask key, always null (every alpha entry is learnable), and its
+    ``log_space`` key, always false (eta, r and c are stored as they are)."""
     doc = {
         "format": "rc-theta-v1",
         "num_zones": theta.num_zones,
@@ -260,8 +261,8 @@ def load_checkpoint(path: str | Path) -> ThetaParams:
     if doc.get("alpha_mask") is not None:
         raise RcError(f"{path}: alpha masks are not supported; "
                       "every alpha entry is learnable")
-    fields = {k: np.asarray(doc[k], dtype=float) for k in ("alpha", "eta_h", "eta_c", "r", "c")}
     if doc.get("log_space"):
-        for k in ("eta_h", "eta_c", "r", "c"):
-            fields[k] = np.exp(fields[k])
+        raise RcError(f"{path}: log-space parameters are not supported; "
+                      "eta, r and c are stored as they are")
+    fields = {k: np.asarray(doc[k], dtype=float) for k in ("alpha", "eta_h", "eta_c", "r", "c")}
     return ThetaParams(**fields)

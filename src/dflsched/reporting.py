@@ -44,7 +44,7 @@ class MetricsReport:
 
 def evaluate_model(theta: ThetaParams, scenarios: list[DayScenario], plant,
                    tariff: Tariff, config: ScheduleConfig, split: str = "test",
-                   base_seed: int = 0, seed_tag: int = 0) -> MetricsReport:
+                   base_seed: int = 0) -> MetricsReport:
     """Solve and simulate every scenario; aggregate metrics with cluster
     weights (an unweighted aggregate is attached for reference).  Scenarios
     whose QP fails are dropped and counted; a partial report is flagged by
@@ -52,7 +52,7 @@ def evaluate_model(theta: ThetaParams, scenarios: list[DayScenario], plant,
     if not scenarios:
         raise ValueError("scenarios must be nonempty")
     pairs, failed = learning.evaluate_scenarios(theta, scenarios, plant, tariff,
-                                                config, seed_tag, base_seed)
+                                                config, base_seed)
     stats = summarize(pairs, tariff, config.topology)
     uniform = [(DayScenario(s.ambient, s.initial_tau, s.label, 1.0 / len(pairs), s.day_index), r, t)
                for s, r, t in pairs]

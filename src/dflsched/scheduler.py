@@ -52,11 +52,11 @@ class Tariff:
         lam[peak_step] += self.demand_charge
         return lam
 
-    def cost_of(self, p_import: np.ndarray, dt: float, peak: float | None = None) -> float:
-        """Electricity bill for an import series: energy plus demand charge."""
+    def cost_of(self, p_import: np.ndarray, dt: float) -> float:
+        """Electricity bill for an import series: energy plus demand charge
+        on its peak."""
         p_import = np.asarray(p_import, dtype=float)
-        if peak is None:
-            peak = float(p_import.max()) if p_import.size else 0.0
+        peak = float(p_import.max()) if p_import.size else 0.0
         return float(peak * self.demand_charge + (p_import * self.energy_price).sum() * dt)
 
 
@@ -175,8 +175,7 @@ class ScheduleResult:
     p_hvac: np.ndarray  # (T, Z)
     p_import: np.ndarray  # (T,)
     p_peak: float
-    expected_cost: float  # electricity only; comfort reported separately
-    comfort_penalty: float
+    expected_cost: float  # electricity only; the comfort term is not priced
     dt: float
     problem: qp.QpProblem
     solution: qp.QpSolution
@@ -343,16 +342,15 @@ def extract(problem: qp.QpProblem, solution: qp.QpSolution, idx: VariableIndex,
     p_hvac = u[idx.p_hvac]
     p_i = u[idx.p_i]
     p_d = float(u[idx.p_d])
-    comfort = float(np.sum(config.comfort_weight * (tau[1:] - config.comfort_target) ** 2) * config.dt)
     result = ScheduleResult(
         tau_in=tau, p_h=p_h, p_c=p_c, p_hvac=p_hvac, p_import=p_i,
-        p_peak=p_d, expected_cost=0.0, comfort_penalty=comfort,
-        dt=config.dt, problem=problem, solution=solution, index=idx)
+        p_peak=p_d, expected_cost=0.0, dt=config.dt, problem=problem,
+        solution=solution, index=idx)
     return replace(result, expected_cost=expected_cost(result, tariff))
 
 
 def expected_cost(result: ScheduleResult, tariff: Tariff) -> float:
     """Headline electricity cost: peak demand charge plus time-of-use
-    energy; the comfort penalty is reported separately."""
+    energy.  The QP's comfort term is left out."""
     return float(result.p_peak * tariff.demand_charge
                  + (result.p_import * tariff.energy_price).sum() * result.dt)

@@ -179,7 +179,7 @@ class TestCriterion4RealizablePlant:
         topo = rc.default_topology(z)
         theta_star = rc.ThetaParams(np.eye(z) + rng.normal(0, 0.02, (z, z)),
                                     [0.9], [0.85], [4.0], [2.0])
-        sim = plant.ExactRcPlant(theta_star, dt=1.0)
+        sim = plant.ExactRcPlant(theta_star)
         cfg = scheduler.ScheduleConfig(
             topology=topo, dt=1.0,
             comfort_target=np.full((horizon, z), 21.0),
@@ -201,7 +201,7 @@ class TestCriterion4RealizablePlant:
         flat0[-1] += 1.0  # hidden capacitance off by a factor e
         theta0 = rc.unpack(flat0, theta_star.num_zones)
 
-        pairs0, _ = learning.evaluate_scenarios(theta0, scens, sim, tariff, cfg, 0, 0)
+        pairs0, _ = learning.evaluate_scenarios(theta0, scens, sim, tariff, cfg, 0)
         initial = learning.summarize(pairs0, tariff, topo)["hier_loss"]
         tc = learning.TrainConfig(lr=0.06, decay_rate=0.5, decay_gamma=1.3,
                                   max_epochs=50, patience=50, seed=0)

@@ -282,7 +282,7 @@ class TestDflTrain:
         topo = rc.default_topology(z)
         theta_star = rc.ThetaParams(np.eye(z), [0.9, 0.85], [0.9, 0.8],
                                     [4.0, 5.0], [2.0, 2.5])
-        sim = plant.ExactRcPlant(theta_star, dt=1.0)
+        sim = plant.ExactRcPlant(theta_star)
         cfg = scheduler.ScheduleConfig(
             topology=topo, dt=1.0,
             comfort_target=np.full((horizon, z), 21.0),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dflsched import plant, rc
-from dflsched.plant import PlantSpec, _occupied, _solar_profile
+from dflsched.plant import PlantSpec, _solar_profile
 
 
 def quiet_spec(z=1, substeps=12, noise=0.0, **overrides):
@@ -29,8 +29,7 @@ class TestSimulateDay:
         # no gains, no noise: nothing to do
         spec = quiet_spec(z=3)
         setpoints = np.full((25, 3), 20.0)
-        trace = plant.simulate_day(spec, setpoints, np.full(24, 20.0), seed=1,
-                                   day_of_week=5)
+        trace = plant.simulate_day(spec, setpoints, np.full(24, 20.0), seed=1)
         assert np.abs(trace.p_hvac_obs).max() <= 1e-6
         np.testing.assert_allclose(trace.tau_obs, 20.0, atol=1e-9)
 
@@ -43,8 +42,7 @@ class TestSimulateDay:
         setpoint = 21.0
         ambient = setpoint - 20.0
         setpoints = np.full((hours + 1, 1), setpoint)
-        trace = plant.simulate_day(spec, setpoints, np.full(hours, ambient),
-                                   seed=0, day_of_week=5)
+        trace = plant.simulate_day(spec, setpoints, np.full(hours, ambient), seed=0)
         # plant's own steady-state balance
         d_t = 20.0
         loss = d_t * (d_t / 10.0) ** (spec.convection_exponent - 1.0) / spec.r_env[0]
@@ -55,14 +53,15 @@ class TestSimulateDay:
         assert abs(trace.tau_obs[-1, 0] - setpoint) < 0.05
 
     def test_occupancy_wraps_into_next_week(self):
-        # 48 hours from Sunday: Monday 7-18 h is occupied, which at thermal
-        # equilibrium shows as the ventilation fan's draw alone
+        # 8 days from a Monday at 0 h: Mon-Fri and the next Monday are
+        # occupied 7-18 h, the weekend not at all; at thermal equilibrium
+        # that shows as the ventilation fan's draw alone
         spec = quiet_spec(z=2, vent_fan_kw=np.full(2, 1.0))
-        trace = plant.simulate_day(spec, np.full((49, 2), 20.0), np.full(48, 20.0),
-                                   seed=1, day_of_week=6)
-        expected = np.zeros((48, 2))
-        expected[24 + 7:24 + 18] = 1.0
-        np.testing.assert_allclose(trace.p_hvac_obs, expected, atol=1e-9)
+        trace = plant.simulate_day(spec, np.full((8 * 24 + 1, 2), 20.0),
+                                   np.full(8 * 24, 20.0), seed=1)
+        expected = np.zeros((8, 24, 2))
+        expected[[0, 1, 2, 3, 4, 7], 7:18] = 1.0
+        np.testing.assert_allclose(trace.p_hvac_obs, expected.reshape(-1, 2), atol=1e-9)
 
     def test_determinism_bitwise(self):
         topo = rc.default_topology(4)
@@ -105,8 +104,7 @@ class TestSimulateDay:
         # what storage gave up, within 5% (gains are zero here)
         spec = quiet_spec(z=2)
         setpoints = np.full((25, 2), 21.0)
-        trace = plant.simulate_day(spec, setpoints, np.full(24, -10.0), seed=0,
-                                   day_of_week=5)
+        trace = plant.simulate_day(spec, setpoints, np.full(24, -10.0), seed=0)
         loss = -trace.energy_envelope_kwh  # positive on a cold day
         assert loss > 0
         floor = loss - (-trace.energy_storage_kwh)
@@ -128,7 +126,7 @@ class TestExactRcPlant:
         z = 2
         theta = rc.ThetaParams(np.eye(z), [0.9, 0.8], [0.9, 0.8],
                                [5.0, 4.0], [2.0, 3.0])
-        sim = plant.ExactRcPlant(theta, dt=1.0)
+        sim = plant.ExactRcPlant(theta)
         rng = np.random.default_rng(1)
         setpoints = 20.0 + rng.uniform(-1, 1, size=(9, z))
         weather = rng.uniform(-5, 5, size=8)
@@ -190,6 +188,14 @@ class TestHistoricalRollout:
                 # with a Gaussian-tail allowance over 8760 samples
                 assert np.abs(resid).max() <= 4.5 * noise / spec.c_air[0]
                 assert resid.std() == pytest.approx(noise / spec.c_air[0], rel=0.1)
+
+    def test_baseline_band_is_one_column_per_hour(self):
+        # the band is shared by every zone, so a year costs no (T, Z) array
+        lo, hi = plant.baseline_band(8760)
+        assert lo.shape == hi.shape == (8760, 1)
+        occupied = np.array([_ref_occupied(t) for t in range(8760)])
+        np.testing.assert_array_equal(lo[:, 0], np.where(occupied, 21.0, 17.0))
+        np.testing.assert_array_equal(hi[:, 0], np.where(occupied, 21.0, 26.0))
 
     def test_baseline_respects_deadband(self):
         spec = quiet_spec(z=1, substeps=6)
@@ -285,6 +291,11 @@ def _ref_substep(spec: PlantSpec, state: _RefState, lo, hi, ambient: float,
     return p_heat, p_cool, q_hvac, q_env
 
 
+def _ref_occupied(t: int) -> bool:
+    """Hour t of a run that starts on a Monday at 0 h: Mon-Fri, 7-18 h."""
+    return (t // 24) % 7 < 5 and 7 <= t % 24 < 18
+
+
 def _ref_gains(spec: PlantSpec, hour_frac: float, occupied: bool,
                rng: np.random.Generator) -> np.ndarray:
     base = spec.gain_occupied if occupied else spec.gain_base
@@ -294,7 +305,7 @@ def _ref_gains(spec: PlantSpec, hour_frac: float, occupied: bool,
     return base + solar + noise
 
 
-def _ref_simulate_day(spec, setpoints, weather, seed, day_of_week=0, dt=1.0):
+def _ref_simulate_day(spec, setpoints, weather, seed, dt=1.0):
     z = spec.topology.num_zones
     t_h = len(weather)
     rng = np.random.default_rng(seed)
@@ -312,7 +323,7 @@ def _ref_simulate_day(spec, setpoints, weather, seed, day_of_week=0, dt=1.0):
     for t in range(t_h):
         target = setpoints[t + 1]
         hour_of_day = t % 24
-        occupied = _occupied(hour_of_day, (day_of_week + t // 24) % 7)
+        occupied = _ref_occupied(t)
         acc_h = np.zeros(z)
         acc_c = np.zeros(z)
         for k in range(spec.substeps):
@@ -335,9 +346,9 @@ def _ref_simulate_day(spec, setpoints, weather, seed, day_of_week=0, dt=1.0):
             (e_delivered, e_envelope, e_gains, heat1 - heat0))
 
 
-def _ref_baseline_run(spec, weather, seed, dt=1.0, fixed_day_of_week=None):
-    """historical_rollout (day of week advancing from Monday) or, with a
-    fixed day of week, warmup_initial_tau."""
+def _ref_baseline_run(spec, weather, seed, dt=1.0):
+    """historical_rollout, and warmup_initial_tau as its last tau_next:
+    21 degC occupied, 17/26 degC setbacks otherwise."""
     z = spec.topology.num_zones
     n = len(weather)
     rng = np.random.default_rng(seed)
@@ -352,9 +363,8 @@ def _ref_baseline_run(spec, weather, seed, dt=1.0, fixed_day_of_week=None):
 
     for t in range(n):
         hour_of_day = t % 24
-        day_of_week = (t // 24) % 7 if fixed_day_of_week is None else fixed_day_of_week
-        lo, hi = plant.baseline_band(hour_of_day, day_of_week, z)
-        occupied = _occupied(hour_of_day, day_of_week)
+        occupied = _ref_occupied(t)
+        lo, hi = (21.0, 21.0) if occupied else (17.0, 26.0)
         tau[t] = state.t_air
         acc_h = np.zeros(z)
         acc_c = np.zeros(z)
@@ -386,7 +396,7 @@ _TOPOLOGIES = {
 
 class TestPlantLoopMatchesReference:
     """The vectorized time-stepping loop reproduces the per-substep loop bit
-    for bit."""
+    for bit.  The multi-day runs start on a Monday and reach the weekend."""
 
     @pytest.fixture(params=sorted(_TOPOLOGIES), ids=str)
     def topology(self, request):
@@ -396,8 +406,8 @@ class TestPlantLoopMatchesReference:
     def spec(self, request, topology):
         return plant.default_plant_spec(topology, noise_std=request.param, seed=2)
 
-    def test_historical_rollout_three_days(self, spec):
-        weather = np.random.default_rng(5).uniform(-15.0, 32.0, size=72)
+    def test_historical_rollout_nine_days(self, spec):
+        weather = np.random.default_rng(5).uniform(-15.0, 32.0, size=9 * 24)
         ds = plant.historical_rollout(spec, weather, seed=11)
         tau, p_h, p_c, tau_next = _ref_baseline_run(spec, weather, seed=11)
         np.testing.assert_array_equal(ds.tau, tau)
@@ -405,35 +415,35 @@ class TestPlantLoopMatchesReference:
         np.testing.assert_array_equal(ds.p_c, p_c)
         np.testing.assert_array_equal(ds.tau_next, tau_next)
 
-    @pytest.mark.parametrize("day_of_week", [1, 6])
-    def test_warmup_initial_tau(self, spec, day_of_week):
-        weather = np.random.default_rng(6).uniform(-10.0, 30.0, size=24)
-        got = plant.warmup_initial_tau(spec, weather, seed=3, day_of_week=day_of_week)
-        tau, _, _, tau_next = _ref_baseline_run(spec, weather, seed=3,
-                                                fixed_day_of_week=day_of_week)
+    # one day is the scenario warm-up, a Monday; six days end on a Saturday
+    @pytest.mark.parametrize("days", [1, 6])
+    def test_warmup_initial_tau(self, spec, days):
+        weather = np.random.default_rng(6).uniform(-10.0, 30.0, size=days * 24)
+        got = plant.warmup_initial_tau(spec, weather, seed=3)
+        _, _, _, tau_next = _ref_baseline_run(spec, weather, seed=3)
         np.testing.assert_array_equal(got, tau_next[-1])
 
     @pytest.mark.parametrize("case", ["tracking", "saturating"])
     def test_simulate_day(self, spec, case):
         z = spec.topology.num_zones
         rng = np.random.default_rng(7)
+        hours = 9 * 24
         if case == "tracking":
-            setpoints = 21.0 + rng.uniform(-3.0, 3.0, size=(49, z))
-            weather = rng.uniform(-5.0, 30.0, size=48)
+            setpoints = 21.0 + rng.uniform(-3.0, 3.0, size=(hours + 1, z))
+            weather = rng.uniform(-5.0, 30.0, size=hours)
         else:
             # far above anything the floor AHU can deliver on a cold day
-            setpoints = np.full((49, z), 45.0)
+            setpoints = np.full((hours + 1, z), 45.0)
             setpoints[0] = 18.0
-            weather = np.full(48, -15.0)
+            weather = np.full(hours, -15.0)
         if case == "saturating":
             # the first substep's command (empty integrator) already exceeds
             # every floor's AHU rating, so the floor-scale path fires
             first = spec.kp * (setpoints[1] - setpoints[0])
             assert all(first[list(members)].sum() > rating for members, rating
                        in zip(spec.topology.floors, spec.ahu_heat_rating))
-        ref_tau, ref_h, ref_c, ref_energy = _ref_simulate_day(
-            spec, setpoints, weather, seed=9, day_of_week=4)
-        trace = plant.simulate_day(spec, setpoints, weather, seed=9, day_of_week=4)
+        ref_tau, ref_h, ref_c, ref_energy = _ref_simulate_day(spec, setpoints, weather, seed=9)
+        trace = plant.simulate_day(spec, setpoints, weather, seed=9)
         np.testing.assert_array_equal(trace.tau_obs, ref_tau)
         np.testing.assert_array_equal(trace.p_heat_obs, ref_h)
         np.testing.assert_array_equal(trace.p_cool_obs, ref_c)
@@ -442,10 +452,10 @@ class TestPlantLoopMatchesReference:
                 trace.energy_gains_kwh, trace.energy_storage_kwh) == ref_energy
 
     def test_zone_on_no_floor_gets_no_hvac(self):
-        spec = plant.default_plant_spec(_off_floor_topology(), noise_std=0.15, seed=2)
+        # no ventilation fan, which draws in occupied hours on or off a floor
+        spec = replace(plant.default_plant_spec(_off_floor_topology(), noise_std=0.15, seed=2),
+                       vent_fan_kw=np.zeros(6))
         setpoints = np.full((25, 6), 30.0)
-        # a Saturday: no occupancy, so no ventilation fan either
-        trace = plant.simulate_day(spec, setpoints, np.full(24, -10.0), seed=1,
-                                   day_of_week=5)
+        trace = plant.simulate_day(spec, setpoints, np.full(24, -10.0), seed=1)
         assert np.all(trace.p_hvac_obs[:, 3] == 0.0)
         assert np.all(trace.p_hvac_obs[:, [0, 1, 2, 4, 5]] > 0.0)

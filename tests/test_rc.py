@@ -212,6 +212,18 @@ class TestCheckpoint:
         with pytest.raises(rc.RcError, match="alpha mask"):
             rc.load_checkpoint(path)
 
+    def test_log_space_key_false_and_log_space_rejected(self, rng, tmp_path):
+        """rc-theta-v1 keeps its log_space key, always false; a checkpoint
+        that stores log eta/r/c is refused rather than exponentiated."""
+        path = tmp_path / "theta.json"
+        rc.save_checkpoint(random_theta(rng, 3), path)
+        doc = json.loads(path.read_text())
+        assert doc["log_space"] is False
+        doc["log_space"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(rc.RcError, match="log-space"):
+            rc.load_checkpoint(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("{}")

@@ -28,20 +28,11 @@ def make_setup(rng, z=2, horizon=4):
     return theta, cfg, tariff, scens
 
 
-class EchoPlant:
-    """Replays the expected schedule exactly: a self-consistent stub."""
-
-    def __init__(self, theta, dt=1.0):
-        self.inner = plant.ExactRcPlant(theta, dt=dt)
-
-    def simulate(self, *args, **kwargs):
-        return self.inner.simulate(*args, **kwargs)
-
-
 class TestEvaluateModel:
     def test_self_consistent_stub_gives_zero_errors(self, rng):
         theta, cfg, tariff, scens = make_setup(rng)
-        report = reporting.evaluate_model(theta, scens, EchoPlant(theta), tariff,
+        # the hidden theta equals the model's: the plant replays the schedule
+        report = reporting.evaluate_model(theta, scens, plant.ExactRcPlant(theta), tariff,
                                           cfg, split="test")
         assert report.mae == pytest.approx(0.0, abs=1e-7)
         assert report.mse == pytest.approx(0.0, abs=1e-10)
@@ -60,15 +51,13 @@ class TestEvaluateModel:
 
         class OffsetPlant:
             def __init__(self):
-                self.inner = plant.ExactRcPlant(theta, dt=1.0)
+                self.inner = plant.ExactRcPlant(theta)
 
-            def simulate(self, setpoints, ambient, seed, **kw):
-                trace = self.inner.simulate(setpoints, ambient, seed, **kw)
-                bumped = trace.p_hvac_obs + 0.5  # constant 0.5 kW extra
-                return SimulationTrace(trace.tau_obs, bumped,
-                                       bumped.sum(axis=1),
-                                       kw.get("tariff").cost_of(bumped.sum(axis=1), 1.0)
-                                       if kw.get("tariff") else None)
+            def simulate(self, setpoints, ambient, seed, dt=1.0):
+                trace = self.inner.simulate(setpoints, ambient, seed, dt)
+                bumped = trace.p_hvac_obs + 0.5  # constant 0.5 kW extra, heating
+                return SimulationTrace(trace.tau_obs, bumped, bumped.sum(axis=1),
+                                       trace.p_heat_obs + 0.5, trace.p_cool_obs)
 
         report = reporting.evaluate_model(theta, [scen], OffsetPlant(), tariff,
                                           cfg, split="test")
