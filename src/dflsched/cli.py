@@ -35,8 +35,6 @@ from .scenarios import WeatherParams
 DEFAULT_CONFIG = {
     "zones": 15,
     "zones_per_floor": 5,
-    "horizon": 24,
-    "dt": 1.0,
     "seed": 7,
     "weather": {
         "mean": 10.0, "annual_amplitude": 13.0, "diurnal_amplitude": 6.0,
@@ -66,19 +64,30 @@ SEED_SPLITS = 5
 SEED_WARMUP = 1000
 
 
+_OPEN_SECTIONS = ("plant", "pretrain", "dfl")
+
+
 class CliError(Exception):
     pass
 
 
 def load_config(path: str | None) -> dict:
+    """DEFAULT_CONFIG with a user JSON file merged over it, one level deep.
+    Keys the defaults lack are refused, except in the _OPEN_SECTIONS, whose
+    other keys build_plant_spec and TrainConfig check."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path and path != "default":
         user = json.loads(Path(path).read_text())
+        unknown = sorted(set(user) - set(cfg))
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+                if key not in _OPEN_SECTIONS:
+                    unknown += sorted(f"{key}.{sub}" for sub in set(value) - set(cfg[key]))
                 cfg[key].update(value)
             else:
                 cfg[key] = value
+        if unknown:
+            raise CliError(f"unknown config keys: {unknown}")
     return cfg
 
 
@@ -121,8 +130,8 @@ def build_weather_params(cfg: dict) -> WeatherParams:
 
 def build_tariff(cfg: dict) -> scheduler.Tariff:
     t = cfg["tariff"]
-    return scheduler.default_tariff(cfg["horizon"], t["offpeak"], t["peak"],
-                                    t["peak_start"], t["peak_end"],
+    return scheduler.default_tariff(scenarios.HOURS_PER_DAY, t["offpeak"],
+                                    t["peak"], t["peak_start"], t["peak_end"],
                                     t["demand_charge"])
 
 
@@ -131,12 +140,12 @@ def build_schedule_config(cfg: dict) -> scheduler.ScheduleConfig:
     cap = cfg["capacity"]
     comfort = cfg["comfort"]
     base = scheduler.default_schedule_config(
-        topo, horizon=cfg["horizon"], dt=cfg["dt"], target=comfort["target"],
+        topo, horizon=scenarios.HOURS_PER_DAY, target=comfort["target"],
         zone_cap_h=cap["zone_h"], zone_cap_c=cap["zone_c"],
         floor_cap_h=cap["floor_h"], floor_cap_c=cap["floor_c"],
         line_margin=cap["line_margin"])
     weights = scheduler.default_comfort_weights(
-        cfg["horizon"], topo.num_zones,
+        scenarios.HOURS_PER_DAY, topo.num_zones,
         work=comfort["work"], evening=comfort["evening"], night=comfort["night"])
     return replace(base, comfort_weight=weights)
 
@@ -215,7 +224,7 @@ def write_transitions_csv(ds: TransitionDataset, path: Path) -> None:
                           for zi, (tau, p_h, p_c, tau_next) in enumerate(rows))
 
 
-def read_transitions_csv(path: Path, dt: float) -> TransitionDataset:
+def read_transitions_csv(path: Path) -> TransitionDataset:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     t = data[:, 0].astype(int)
     zi = data[:, 1].astype(int)
@@ -231,7 +240,7 @@ def read_transitions_csv(path: Path, dt: float) -> TransitionDataset:
     p_h[t, zi] = data[:, 4]
     p_c[t, zi] = data[:, 5]
     tau_next[t, zi] = data[:, 6]
-    return TransitionDataset(tau, amb, p_h, p_c, tau_next, dt)
+    return TransitionDataset(tau, amb, p_h, p_c, tau_next)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +274,7 @@ def stage_cluster(cfg: dict, out: Path) -> dict:
     def initial_tau_for(day_idx: int) -> np.ndarray:
         prev = max(day_idx - 1, 0)
         return plant.warmup_initial_tau(spec, days[prev],
-                                        cfg["seed"] + SEED_WARMUP + day_idx,
-                                        dt=cfg["dt"])
+                                        cfg["seed"] + SEED_WARMUP + day_idx)
 
     train = scenarios.scenarios_for_days(days, clustering.medoids, clustering,
                                          initial_tau_for)
@@ -288,8 +296,7 @@ def stage_baseline_rollout(cfg: dict, out: Path) -> dict:
         raise CliError(f"missing input {p_hist}; run synth-weather first")
     series = scenarios.read_weather_csv(p_hist)
     spec = build_plant_spec(cfg)
-    ds = plant.historical_rollout(spec, series, cfg["seed"] + SEED_HISTORICAL,
-                                  dt=cfg["dt"])
+    ds = plant.historical_rollout(spec, series, cfg["seed"] + SEED_HISTORICAL)
     p_trans = out / "transitions.csv"
     write_transitions_csv(ds, p_trans)
     write_stage_manifest(out, "baseline-rollout", cfg, [p_hist], [p_trans])
@@ -300,9 +307,9 @@ def stage_pretrain(cfg: dict, out: Path) -> dict:
     p_trans = out / "transitions.csv"
     if not p_trans.exists():
         raise CliError(f"missing input {p_trans}; run baseline-rollout first")
-    ds = read_transitions_csv(p_trans, cfg["dt"])
+    ds = read_transitions_csv(p_trans)
     topo = build_topology(cfg)
-    theta0 = rc.default_theta(topo.num_zones, cfg["dt"], seed=cfg["seed"])
+    theta0 = rc.default_theta(topo.num_zones, seed=cfg["seed"])
     config = build_train_config(cfg, "pretrain")
     theta = learning.pretrain(ds, theta0, config)
     p_theta = out / "theta_ito.json"

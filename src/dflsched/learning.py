@@ -234,23 +234,22 @@ def _mse_and_gradient(flat: np.ndarray, ds: TransitionDataset,
     p_c = ds.p_c[rows]
     target = ds.tau_next[rows]
     n, z = tau.shape
-    dt = ds.dt
     theta = rc.unpack(flat, z)
 
-    pred = rc.rc_step(theta, tau, amb, p_h, p_c, dt)
+    pred = rc.rc_step(theta, tau, amb, p_h, p_c)
     err = pred - target
     mse = float((err ** 2).mean())
 
     w = 2.0 * err / (n * z)  # d mse / d pred
-    grad_alpha = dt * (w.T @ tau)  # (Z, Z): rows predict, columns source
+    grad_alpha = w.T @ tau  # (Z, Z): rows predict, columns source
     inv_c = 1.0 / theta.c
-    grad_log_eta_h = (w * p_h).sum(axis=0) * dt * theta.eta_h * inv_c
-    grad_log_eta_c = -(w * p_c).sum(axis=0) * dt * theta.eta_c * inv_c
-    leak = dt / (theta.r * theta.c)
+    grad_log_eta_h = (w * p_h).sum(axis=0) * theta.eta_h * inv_c
+    grad_log_eta_c = -(w * p_c).sum(axis=0) * theta.eta_c * inv_c
+    leak = 1.0 / (theta.r * theta.c)
     amb_minus = amb[:, None] - tau
     grad_log_r = -(w * amb_minus).sum(axis=0) * leak
     injection = (theta.eta_h * p_h - theta.eta_c * p_c) * inv_c
-    grad_log_c = -(w * (injection * dt + amb_minus * leak)).sum(axis=0)
+    grad_log_c = -(w * (injection + amb_minus * leak)).sum(axis=0)
 
     grad = np.concatenate([grad_alpha.ravel(), grad_log_eta_h, grad_log_eta_c,
                            grad_log_r, grad_log_c])
@@ -367,7 +366,7 @@ def evaluate_scenarios(theta: ThetaParams, scenarios: list[DayScenario],
         except ScheduleError as exc:
             failed[i] = exc
             continue
-        trace = plant.simulate(result.tau_in, scen.ambient, seed, dt=config.dt)
+        trace = plant.simulate(result.tau_in, scen.ambient, seed)
         pairs.append((scen, result, trace))
     if not pairs:
         raise RuntimeError("every evaluation scenario failed to solve")
@@ -387,7 +386,7 @@ def summarize(pairs, tariff: Tariff, topology: ZoneTopology) -> dict:
         mse += w * float((err ** 2).mean())
         e_mean += w * float(err.mean())
         expected += w * result.expected_cost
-        expost += w * tariff.cost_of(trace.p_import_obs, result.dt)
+        expost += w * tariff.cost_of(trace.p_import_obs)
     err_var = max(mse - e_mean ** 2, 0.0)  # pooled-mixture variance
     return {
         "hier_loss": float(hier), "mae": float(mae), "mse": float(mse),
@@ -408,9 +407,9 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
     in which every scenario fails aborts the run.  A validation scenario
     that fails is dropped with a warning, and the validation weights
     renormalize over the survivors; ``TrainingLog.val_dropped`` counts the
-    drops of each epoch.  Early stopping still compares the validation
-    losses as they are, so an epoch that dropped scenarios is compared over
-    a different subset than one that did not.
+    drops of each epoch.  An epoch with drops is scored over a different
+    subset, so it never becomes the best epoch (with none left, the initial
+    parameters are returned); it still counts toward the patience.
     """
     topo = schedule_config.topology
     z = theta_init.num_zones
@@ -440,8 +439,7 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
                 training_log.skipped_samples += 1
                 log.warning("epoch %d sample %d skipped: %s", epoch, i, exc)
                 continue
-            trace = plant.simulate(result.tau_in, scen.ambient, seed,
-                                   dt=schedule_config.dt)
+            trace = plant.simulate(result.tau_in, scen.ambient, seed)
             train_pairs.append((scen, result, trace))
 
             gmat = loss_gradient_wrt_expected(result.p_hvac, trace.p_hvac_obs,
@@ -471,7 +469,7 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
         val_stats = summarize(val_pairs, tariff, topo)
         training_log.records.append(EpochRecord(epoch, "val", **val_stats))
 
-        if val_stats["hier_loss"] < best_loss - 1e-15:
+        if not dropped and val_stats["hier_loss"] < best_loss - 1e-15:
             best_loss = val_stats["hier_loss"]
             best_params = state.params.copy()
             best_epoch = epoch

@@ -182,7 +182,7 @@ class _Run(NamedTuple):
 
 
 def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray,
-           lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator, dt: float,
+           lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator,
            energy: bool = False) -> _Run:
     """The plant's time-stepping loop, shared by every public entry point.
 
@@ -200,11 +200,11 @@ def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray,
     z = spec.topology.num_zones
     n = len(weather)
     m = spec.substeps
-    h = dt / m
+    h = 1.0 / m
     adj = _adjacency(spec.topology)
     adj_rows = adj.sum(axis=1)
     exponent = spec.convection_exponent - 1.0
-    hour_frac = np.arange(24)[:, None] + (np.arange(m) + 0.5) / m * dt
+    hour_frac = np.arange(24)[:, None] + (np.arange(m) + 0.5) / m
     solar = _solar_profile(hour_frac, spec.solar_gain_peak)[:, :, None]
     # scalar factors as (Z,) arrays: the same IEEE operations, without
     # numpy's per-call scalar conversion (``**`` keeps its scalar exponent)
@@ -309,7 +309,7 @@ def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray,
 
 
 def simulate_day(spec: PlantSpec, setpoints: np.ndarray, weather: np.ndarray,
-                 seed: int, dt: float = 1.0) -> SimulationTrace:
+                 seed: int) -> SimulationTrace:
     """Track hourly setpoints at sub-hourly resolution and return hourly
     observations.  Deterministic given (spec, setpoints, weather, seed).
     The plant never fails: saturation is physical behavior.
@@ -327,7 +327,7 @@ def simulate_day(spec: PlantSpec, setpoints: np.ndarray, weather: np.ndarray,
 
     target = setpoints[1:]
     run = _drive(spec, setpoints[0], weather, target, target,
-                 np.random.default_rng(seed), dt, energy=True)
+                 np.random.default_rng(seed), energy=True)
     p_hvac = run.p_heat + run.p_cool
     delivered, envelope, gains, storage = run.energy
     return SimulationTrace(run.tau, p_hvac, p_hvac.sum(axis=1), run.p_heat,
@@ -343,8 +343,8 @@ class Plant:
     def __init__(self, spec: PlantSpec):
         self.spec = spec
 
-    def simulate(self, setpoints, ambient, seed, dt=1.0) -> SimulationTrace:
-        return simulate_day(self.spec, setpoints, ambient, seed, dt=dt)
+    def simulate(self, setpoints, ambient, seed) -> SimulationTrace:
+        return simulate_day(self.spec, setpoints, ambient, seed)
 
 
 class ExactRcPlant:
@@ -356,7 +356,7 @@ class ExactRcPlant:
     def __init__(self, theta: ThetaParams):
         self.theta = theta
 
-    def simulate(self, setpoints, ambient, seed, dt=1.0) -> SimulationTrace:
+    def simulate(self, setpoints, ambient, seed) -> SimulationTrace:
         setpoints = np.asarray(setpoints, dtype=float)
         ambient = np.asarray(ambient, dtype=float).ravel()
         th = self.theta
@@ -368,13 +368,13 @@ class ExactRcPlant:
         p_c = np.zeros((t_h, z))
         for t in range(t_h):
             # thermal need that lands exactly on the setpoint
-            drift = rc.rc_step(th, tau[t], ambient[t], np.zeros(z), np.zeros(z), dt)
-            q_net = (setpoints[t + 1] - drift) * th.c / dt
+            drift = rc.rc_step(th, tau[t], ambient[t], np.zeros(z), np.zeros(z))
+            q_net = (setpoints[t + 1] - drift) * th.c
             heat = np.maximum(q_net, 0.0) / th.eta_h
             cool = np.maximum(-q_net, 0.0) / th.eta_c
             p_h[t] = heat
             p_c[t] = cool
-            tau[t + 1] = rc.rc_step(th, tau[t], ambient[t], heat, cool, dt)
+            tau[t + 1] = rc.rc_step(th, tau[t], ambient[t], heat, cool)
         p_hvac = p_h + p_c
         return SimulationTrace(tau, p_hvac, p_hvac.sum(axis=1), p_h, p_c)
 
@@ -398,7 +398,6 @@ class TransitionDataset:
     p_h: np.ndarray  # (N, Z)
     p_c: np.ndarray  # (N, Z)
     tau_next: np.ndarray  # (N, Z)
-    dt: float = 1.0
 
     def __len__(self) -> int:
         return len(self.tau_amb)
@@ -414,8 +413,8 @@ def baseline_band(hours: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def historical_rollout(spec: PlantSpec, weather_year: np.ndarray, seed: int,
-                       dt: float = 1.0) -> TransitionDataset:
+def historical_rollout(spec: PlantSpec, weather_year: np.ndarray,
+                       seed: int) -> TransitionDataset:
     """One year from a Monday under the conventional occupancy schedule
     (21 degC occupied, 17/26 degC setbacks), recorded as hourly
     transitions."""
@@ -424,17 +423,17 @@ def historical_rollout(spec: PlantSpec, weather_year: np.ndarray, seed: int,
         raise PlantError("weather series must cover whole days")
     z = spec.topology.num_zones
     run = _drive(spec, np.full(z, 20.0), weather_year,
-                 *baseline_band(len(weather_year)), np.random.default_rng(seed), dt)
+                 *baseline_band(len(weather_year)), np.random.default_rng(seed))
     return TransitionDataset(run.tau[:-1], weather_year.copy(), run.p_heat,
-                             run.p_cool, run.tau[1:], dt)
+                             run.p_cool, run.tau[1:])
 
 
 def warmup_initial_tau(spec: PlantSpec, preceding_day_weather: np.ndarray,
-                       seed: int, dt: float = 1.0) -> np.ndarray:
+                       seed: int) -> np.ndarray:
     """Zone temperatures after running the baseline policy over the
     preceding day, a Monday; used as each scenario's initial condition."""
     weather = np.asarray(preceding_day_weather, dtype=float).ravel()
     z = spec.topology.num_zones
     run = _drive(spec, np.full(z, 20.0), weather, *baseline_band(len(weather)),
-                 np.random.default_rng(seed), dt)
+                 np.random.default_rng(seed))
     return run.tau[-1].copy()

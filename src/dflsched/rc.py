@@ -1,9 +1,9 @@
 """Learnable multi-zone RC thermal model.
 
-The one-step map, evaluated exactly as written (self-persistence is carried
-by the diagonal of the coupling matrix):
+The one-hour step, evaluated exactly as written (self-persistence is
+carried by the diagonal of the coupling matrix):
 
-    tau' = dt * ( alpha @ tau + (eta_h*p_h - eta_c*p_c)/c + (tau_amb - tau)/(r*c) )
+    tau' = alpha @ tau + (eta_h*p_h - eta_c*p_c)/c + (tau_amb - tau)/(r*c)
 
 Parameters are stored in natural units; the flat vector used by the
 optimizers keeps alpha entries raw and eta/r/c in log-space so positivity
@@ -92,11 +92,11 @@ class ThetaParams:
         return len(self.eta_h)
 
 
-def default_theta(num_zones: int, dt: float, seed: int = 0) -> ThetaParams:
+def default_theta(num_zones: int, seed: int = 0) -> ThetaParams:
     """Initializer used before any pre-training: near-identity persistence
     plus small coupling noise, and coarse physical priors for eta/r/c."""
     rng = np.random.default_rng(seed)
-    alpha = np.eye(num_zones) / dt + rng.uniform(-0.01, 0.01, size=(num_zones, num_zones))
+    alpha = np.eye(num_zones) + rng.uniform(-0.01, 0.01, size=(num_zones, num_zones))
     return ThetaParams(
         alpha=alpha,
         eta_h=np.full(num_zones, 0.9),
@@ -111,8 +111,8 @@ def default_theta(num_zones: int, dt: float, seed: int = 0) -> ThetaParams:
 
 
 def rc_step(theta: ThetaParams, tau_in: np.ndarray, tau_amb: float,
-            p_h: np.ndarray, p_c: np.ndarray, dt: float) -> np.ndarray:
-    """One-step temperature update (state and powers may also be batched
+            p_h: np.ndarray, p_c: np.ndarray) -> np.ndarray:
+    """One-hour temperature update (state and powers may also be batched
     with a leading sample axis; tau_amb broadcasts)."""
     tau_in = np.asarray(tau_in, dtype=float)
     p_h = np.asarray(p_h, dtype=float)
@@ -120,11 +120,11 @@ def rc_step(theta: ThetaParams, tau_in: np.ndarray, tau_amb: float,
     coupling = tau_in @ theta.alpha.T
     injection = (theta.eta_h * p_h - theta.eta_c * p_c) / theta.c
     ambient = (np.expand_dims(np.asarray(tau_amb, dtype=float), -1) - tau_in) / (theta.r * theta.c)
-    return dt * (coupling + injection + ambient)
+    return coupling + injection + ambient
 
 
 def rollout(theta: ThetaParams, tau_0: np.ndarray, tau_amb: np.ndarray,
-            p_h: np.ndarray, p_c: np.ndarray, dt: float) -> np.ndarray:
+            p_h: np.ndarray, p_c: np.ndarray) -> np.ndarray:
     """Sequential rc_step application; returns T+1 states including tau_0."""
     tau_amb = np.asarray(tau_amb, dtype=float).ravel()
     p_h = np.atleast_2d(np.asarray(p_h, dtype=float))
@@ -135,7 +135,7 @@ def rollout(theta: ThetaParams, tau_0: np.ndarray, tau_amb: np.ndarray,
     out = np.empty((steps + 1, theta.num_zones))
     out[0] = np.asarray(tau_0, dtype=float)
     for t in range(steps):
-        out[t + 1] = rc_step(theta, out[t], tau_amb[t], p_h[t], p_c[t], dt)
+        out[t + 1] = rc_step(theta, out[t], tau_amb[t], p_h[t], p_c[t])
     return out
 
 
@@ -189,17 +189,17 @@ class StepCoefficients:
     m_amb: np.ndarray  # (Z,)
 
 
-def step_coefficients(theta: ThetaParams, dt: float) -> StepCoefficients:
-    leak = dt / (theta.r * theta.c)
+def step_coefficients(theta: ThetaParams) -> StepCoefficients:
+    leak = 1.0 / (theta.r * theta.c)
     return StepCoefficients(
-        m_tau=dt * theta.alpha - np.diag(leak),
-        m_ph=dt * theta.eta_h / theta.c,
-        m_pc=-dt * theta.eta_c / theta.c,
+        m_tau=theta.alpha - np.diag(leak),
+        m_ph=theta.eta_h / theta.c,
+        m_pc=-theta.eta_c / theta.c,
         m_amb=leak.copy(),
     )
 
 
-def coefficient_jacobian(theta: ThetaParams, dt: float) -> sp.csr_matrix:
+def coefficient_jacobian(theta: ThetaParams) -> sp.csr_matrix:
     """Jacobian of the step coefficients with respect to the flat parameter
     vector.
 
@@ -216,10 +216,10 @@ def coefficient_jacobian(theta: ThetaParams, dt: float) -> sp.csr_matrix:
     diag = i * (z + 1)
     # every coefficient is a monomial in eta/r/c, so its derivative with
     # respect to a log-space entry is plus or minus the coefficient itself
-    sc = step_coefficients(theta, dt)
+    sc = step_coefficients(theta)
     rows, cols, vals = (np.concatenate(part) for part in zip(
-        (a_idx, a_idx, np.full(n_alpha, dt)),  # d m_tau / d alpha = dt
-        (diag, col_r, sc.m_amb),  # d(-dt/(rc))/dlog r = +dt/(rc)
+        (a_idx, a_idx, np.ones(n_alpha)),  # d m_tau / d alpha = 1
+        (diag, col_r, sc.m_amb),  # d(-1/(rc))/dlog r = +1/(rc)
         (diag, col_c, sc.m_amb),
         (row_ph, col_eta_h, sc.m_ph),
         (row_ph, col_c, -sc.m_ph),

@@ -1,6 +1,7 @@
 """Day-ahead HVAC scheduling: assemble the QP from the RC model, a weather
 scenario and a tariff; solve it; extract typed schedules and costs.
 
+One step of the T-step horizon is one hour, so powers in kW price as kWh.
 Decision variables, in order: zone temperatures tau (T+1 x Z), heating and
 cooling electrical powers p_h/p_c (T x Z), their sum p_hvac (T x Z), grid
 import p_i (T) and the daily peak p_d (scalar).  Comfort enters the
@@ -52,12 +53,12 @@ class Tariff:
         lam[peak_step] += self.demand_charge
         return lam
 
-    def cost_of(self, p_import: np.ndarray, dt: float) -> float:
-        """Electricity bill for an import series: energy plus demand charge
-        on its peak."""
+    def cost_of(self, p_import: np.ndarray) -> float:
+        """Electricity bill for an hourly import series: energy plus demand
+        charge on its peak."""
         p_import = np.asarray(p_import, dtype=float)
         peak = float(p_import.max()) if p_import.size else 0.0
-        return float(peak * self.demand_charge + (p_import * self.energy_price).sum() * dt)
+        return float(peak * self.demand_charge + (p_import * self.energy_price).sum())
 
 
 def default_tariff(horizon: int = 24, offpeak: float = 0.3, peak: float = 0.6,
@@ -75,7 +76,6 @@ class ScheduleConfig:
     """Horizon geometry, comfort shaping and capacity limits (electrical kW)."""
 
     topology: ZoneTopology
-    dt: float
     comfort_target: np.ndarray  # (T, Z) degC
     comfort_weight: np.ndarray  # (T, Z) eur/(degC^2 h)
     zone_cap_h: np.ndarray  # (T, Z)
@@ -89,8 +89,6 @@ class ScheduleConfig:
                      "zone_cap_c", "floor_cap_h", "floor_cap_c"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         t, z, f = self.horizon, self.topology.num_zones, self.topology.num_floors
-        if self.dt <= 0:
-            raise ScheduleError("dt must be positive")
         for name, shape in (("comfort_target", (t, z)), ("comfort_weight", (t, z)),
                             ("zone_cap_h", (t, z)), ("zone_cap_c", (t, z)),
                             ("floor_cap_h", (t, f)), ("floor_cap_c", (t, f))):
@@ -121,14 +119,13 @@ def default_comfort_weights(horizon: int, num_zones: int, work: float = 5.0,
 
 
 def default_schedule_config(topology: ZoneTopology, horizon: int = 24,
-                            dt: float = 1.0, target: float = 21.0,
+                            target: float = 21.0,
                             zone_cap_h: float = 16.0, zone_cap_c: float = 4.0,
                             floor_cap_h: float = 60.0, floor_cap_c: float = 16.0,
                             line_margin: float = 1.2) -> ScheduleConfig:
     z, f = topology.num_zones, topology.num_floors
     return ScheduleConfig(
         topology=topology,
-        dt=dt,
         comfort_target=np.full((horizon, z), target),
         comfort_weight=default_comfort_weights(horizon, z),
         zone_cap_h=np.full((horizon, z), zone_cap_h),
@@ -176,7 +173,6 @@ class ScheduleResult:
     p_import: np.ndarray  # (T,)
     p_peak: float
     expected_cost: float  # electricity only; the comfort term is not priced
-    dt: float
     problem: qp.QpProblem
     solution: qp.QpSolution
     index: VariableIndex
@@ -236,15 +232,14 @@ def assemble(theta: ThetaParams, scenario: DayScenario, tariff: Tariff,
 
     idx = variable_index(t_h, z_n)
     n = idx.num_vars
-    coeff = rc.step_coefficients(theta, config.dt)
+    coeff = rc.step_coefficients(theta)
 
     # objective
     q_diag = np.zeros(n)
     q_lin = np.zeros(n)
-    w = config.comfort_weight * config.dt
-    q_diag[idx.tau[1:]] = 2.0 * w
-    q_lin[idx.tau[1:]] = -2.0 * w * config.comfort_target
-    q_lin[idx.p_i] = tariff.energy_price * config.dt
+    q_diag[idx.tau[1:]] = 2.0 * config.comfort_weight
+    q_lin[idx.tau[1:]] = -2.0 * config.comfort_weight * config.comfort_target
+    q_lin[idx.p_i] = tariff.energy_price
     q_lin[idx.p_d] = tariff.demand_charge
     Q = sp.diags(q_diag, format="csr")
 
@@ -301,7 +296,7 @@ def coefficient_map(theta: ThetaParams, scenario: DayScenario,
     idx = variable_index(config.horizon, config.topology.num_zones)
     rows, cols = _dynamics_slots(idx)
     t_h, per_hour = rows.shape
-    jac = rc.coefficient_jacobian(theta, config.dt).tocoo()  # one row per hourly slot
+    jac = rc.coefficient_jacobian(theta).tocoo()  # one row per hourly slot
     amb = np.asarray(scenario.ambient, dtype=float)
     # per hour: A slots hold minus the coefficient, b slots m_amb * amb[t]
     vals = np.where(cols[:, jac.row] < 0, amb[:, None] * jac.data, -jac.data)
@@ -344,7 +339,7 @@ def extract(problem: qp.QpProblem, solution: qp.QpSolution, idx: VariableIndex,
     p_d = float(u[idx.p_d])
     result = ScheduleResult(
         tau_in=tau, p_h=p_h, p_c=p_c, p_hvac=p_hvac, p_import=p_i,
-        p_peak=p_d, expected_cost=0.0, dt=config.dt, problem=problem,
+        p_peak=p_d, expected_cost=0.0, problem=problem,
         solution=solution, index=idx)
     return replace(result, expected_cost=expected_cost(result, tariff))
 
@@ -353,4 +348,4 @@ def expected_cost(result: ScheduleResult, tariff: Tariff) -> float:
     """Headline electricity cost: peak demand charge plus time-of-use
     energy.  The QP's comfort term is left out."""
     return float(result.p_peak * tariff.demand_charge
-                 + (result.p_import * tariff.energy_price).sum() * result.dt)
+                 + (result.p_import * tariff.energy_price).sum())

@@ -128,9 +128,9 @@ class TestCriterion3EndToEndGradient:
         finite differences within 1e-3 relative on a 2-zone, T=4 problem."""
         z, horizon = 2, 4
         topo = rc.default_topology(z)
-        theta = rc.default_theta(z, 1.0, seed=3)
+        theta = rc.default_theta(z, seed=3)
         cfg = scheduler.ScheduleConfig(
-            topology=topo, dt=1.0,
+            topology=topo,
             comfort_target=np.full((horizon, z), 21.0),
             comfort_weight=np.full((horizon, z), 3.0),
             zone_cap_h=np.full((horizon, z), 16.0),
@@ -181,7 +181,7 @@ class TestCriterion4RealizablePlant:
                                     [0.9], [0.85], [4.0], [2.0])
         sim = plant.ExactRcPlant(theta_star)
         cfg = scheduler.ScheduleConfig(
-            topology=topo, dt=1.0,
+            topology=topo,
             comfort_target=np.full((horizon, z), 21.0),
             comfort_weight=np.full((horizon, z), 2.0),
             zone_cap_h=np.full((horizon, z), 30.0),

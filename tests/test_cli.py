@@ -133,3 +133,23 @@ class TestConfig:
         assert cfg["dfl"]["lr"] == 0.123
         assert cfg["zones"] == 4
         assert cfg["dfl"]["max_epochs"] == cli.DEFAULT_CONFIG["dfl"]["max_epochs"]
+
+    def test_stale_step_key_refused(self, tmp_path):
+        """One model step is one hour: a "dt" key is refused, not ignored."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dt": 0.5}))
+        with pytest.raises(cli.CliError, match="'dt'"):
+            cli.load_config(str(path))
+        result = invoke(["full-run", "--config", str(path), "--out", str(tmp_path)] + ARGS)
+        assert result.exit_code == 1
+        assert "unknown config keys" in result.output
+
+    def test_unknown_section_key_refused(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tariff": {"peak": 0.7, "peak_price": 0.7},
+                                    "capacity": {"zone_h": 12.0}}))
+        with pytest.raises(cli.CliError, match=r"\['tariff.peak_price'\]"):
+            cli.load_config(str(path))
+        result = invoke(["synth-weather", "--config", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert not (tmp_path / "weather_historical.csv").exists()

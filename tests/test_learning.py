@@ -62,7 +62,7 @@ class TestAdam:
 
 class TestInjectNoise:
     def test_huge_snr_is_identity(self, rng):
-        theta = rc.default_theta(3, 1.0, seed=1)
+        theta = rc.default_theta(3, seed=1)
         out = learning.inject_noise(theta, snr=1e30, seed=0)
         np.testing.assert_allclose(out.eta_h, theta.eta_h, rtol=1e-14)
         np.testing.assert_allclose(out.alpha, theta.alpha, rtol=1e-14)
@@ -86,7 +86,7 @@ class TestInjectNoise:
                 assert np.all(v > 0)
 
     def test_deterministic_per_seed(self):
-        theta = rc.default_theta(4, 1.0, seed=2)
+        theta = rc.default_theta(4, seed=2)
         a = learning.inject_noise(theta, 625.0, seed=5)
         b = learning.inject_noise(theta, 625.0, seed=5)
         np.testing.assert_array_equal(a.alpha, b.alpha)
@@ -233,20 +233,20 @@ class TestPretrain:
         amb = rng.uniform(-10, 30, n)
         p_h = rng.uniform(0, 5, (n, z))
         p_c = rng.uniform(0, 5, (n, z))
-        tau_next = rc.rc_step(theta, tau, amb, p_h, p_c, 1.0)
+        tau_next = rc.rc_step(theta, tau, amb, p_h, p_c)
         if noise:
             tau_next = tau_next + rng.normal(0, noise, tau_next.shape)
-        return plant.TransitionDataset(tau, amb, p_h, p_c, tau_next, 1.0)
+        return plant.TransitionDataset(tau, amb, p_h, p_c, tau_next)
 
     def test_recovers_self_generated_dynamics(self, rng):
         theta_star = rc.ThetaParams(np.eye(2) + rng.normal(0, 0.04, (2, 2)),
                                     [0.9, 0.85], [0.9, 0.8], [4.0, 5.0], [2.0, 2.5])
         ds = self.make_dataset(theta_star, 3000, rng)
-        theta0 = rc.default_theta(2, 1.0, seed=1)
+        theta0 = rc.default_theta(2, seed=1)
         cfg = TrainConfig(lr=0.02, max_epochs=200, patience=200, seed=0,
                           batch_size=512, decay_rate=0.02)
         theta_hat = learning.pretrain(ds, theta0, cfg)
-        pred = rc.rc_step(theta_hat, ds.tau, ds.tau_amb, ds.p_h, ds.p_c, 1.0)
+        pred = rc.rc_step(theta_hat, ds.tau, ds.tau_amb, ds.p_h, ds.p_c)
         mse = float(((pred - ds.tau_next) ** 2).mean())
         assert mse <= 1e-6
         # predictions match the hidden model's even if parameters differ
@@ -266,12 +266,12 @@ class TestPretrain:
         spec = plant.default_plant_spec(topo, noise_std=0.05, seed=0)
         weather = np.tile(np.linspace(-5, 15, 24), 30)
         ds = plant.historical_rollout(spec, weather, seed=3)
-        theta0 = rc.default_theta(2, 1.0, seed=1)
-        pred0 = rc.rc_step(theta0, ds.tau, ds.tau_amb, ds.p_h, ds.p_c, 1.0)
+        theta0 = rc.default_theta(2, seed=1)
+        pred0 = rc.rc_step(theta0, ds.tau, ds.tau_amb, ds.p_h, ds.p_c)
         mse0 = float(((pred0 - ds.tau_next) ** 2).mean())
         cfg = TrainConfig(lr=0.01, max_epochs=40, patience=40, seed=0)
         theta_hat = learning.pretrain(ds, theta0, cfg)
-        pred = rc.rc_step(theta_hat, ds.tau, ds.tau_amb, ds.p_h, ds.p_c, 1.0)
+        pred = rc.rc_step(theta_hat, ds.tau, ds.tau_amb, ds.p_h, ds.p_c)
         mse = float(((pred - ds.tau_next) ** 2).mean())
         assert mse < mse0
 
@@ -284,7 +284,7 @@ class TestDflTrain:
                                     [4.0, 5.0], [2.0, 2.5])
         sim = plant.ExactRcPlant(theta_star)
         cfg = scheduler.ScheduleConfig(
-            topology=topo, dt=1.0,
+            topology=topo,
             comfort_target=np.full((horizon, z), 21.0),
             comfort_weight=np.full((horizon, z), 2.0),
             zone_cap_h=np.full((horizon, z), 30.0),
@@ -398,6 +398,37 @@ class TestFailureInjection:
             learning.dfl_train(theta0, train, sim, tariff,
                                TrainConfig(max_epochs=1, patience=1), cfg,
                                val_scenarios=val)
+
+    def test_epoch_that_dropped_a_scenario_never_becomes_best(self, rng, monkeypatch):
+        """At a vanishing learning rate every full validation scores the same.
+        Epoch 1 drops its worst validation scenario and so scores lower over
+        the survivors, yet epoch 0 stays best, and epoch 1 uses up the
+        patience of 1."""
+        theta0, sim, cfg, tariff, train, val = self.setup(rng, monkeypatch, set())
+        pairs, _ = learning.evaluate_scenarios(theta0, val, sim, tariff, cfg, 0)
+        worst = max(pairs, key=lambda p: learning.hierarchical_loss(
+            p[1].p_hvac, p[2].p_hvac_obs, tariff, cfg.topology).total)[0]
+        evaluate, solve = learning.evaluate_scenarios, scheduler.solve_schedule
+        epochs = []
+
+        def counting_evaluate(*args):
+            epochs.append(len(epochs))
+            return evaluate(*args)
+
+        def failing_solve(theta, scen, tariff, config):
+            if scen is worst and epochs[-1:] == [1]:
+                raise scheduler.ScheduleError("injected failure in epoch 1")
+            return solve(theta, scen, tariff, config)
+
+        monkeypatch.setattr(learning, "evaluate_scenarios", counting_evaluate)
+        monkeypatch.setattr(scheduler, "solve_schedule", failing_solve)
+        tc = TrainConfig(lr=1e-300, max_epochs=3, patience=1, seed=0)
+        _, log = learning.dfl_train(theta0, train, sim, tariff, tc, cfg,
+                                    val_scenarios=val)
+        assert log.val_dropped == [0, 1]
+        full, partial = (r.hier_loss for r in log.rows("val"))
+        assert partial < full - 1e-9  # the partial epoch has the lowest loss
+        assert log.best_epoch == 0
 
     def test_every_training_sample_failing_raises(self, rng, monkeypatch):
         theta0, sim, cfg, tariff, train, val = self.setup(rng, monkeypatch, {0, 1, 2})

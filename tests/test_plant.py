@@ -134,7 +134,7 @@ class TestExactRcPlant:
         np.testing.assert_allclose(trace.tau_obs, setpoints, atol=1e-9)
         # powers replayed through the RC model land on the setpoints
         roll = rc.rollout(theta, setpoints[0], weather,
-                          trace.p_heat_obs, trace.p_cool_obs, 1.0)
+                          trace.p_heat_obs, trace.p_cool_obs)
         np.testing.assert_allclose(roll, setpoints, atol=1e-9)
 
 
@@ -305,13 +305,13 @@ def _ref_gains(spec: PlantSpec, hour_frac: float, occupied: bool,
     return base + solar + noise
 
 
-def _ref_simulate_day(spec, setpoints, weather, seed, dt=1.0):
+def _ref_simulate_day(spec, setpoints, weather, seed):
     z = spec.topology.num_zones
     t_h = len(weather)
     rng = np.random.default_rng(seed)
     adj = plant._adjacency(spec.topology)
     state = _RefState(spec, setpoints[0])
-    h = dt / spec.substeps
+    h = 1.0 / spec.substeps
 
     tau_obs = np.empty((t_h + 1, z))
     tau_obs[0] = state.t_air
@@ -327,7 +327,7 @@ def _ref_simulate_day(spec, setpoints, weather, seed, dt=1.0):
         acc_h = np.zeros(z)
         acc_c = np.zeros(z)
         for k in range(spec.substeps):
-            gains = _ref_gains(spec, hour_of_day + (k + 0.5) / spec.substeps * dt,
+            gains = _ref_gains(spec, hour_of_day + (k + 0.5) / spec.substeps,
                                occupied, rng)
             p_heat, p_cool, q_hvac, q_env = _ref_substep(
                 spec, state, target, target, weather[t], gains, h, adj,
@@ -346,7 +346,7 @@ def _ref_simulate_day(spec, setpoints, weather, seed, dt=1.0):
             (e_delivered, e_envelope, e_gains, heat1 - heat0))
 
 
-def _ref_baseline_run(spec, weather, seed, dt=1.0):
+def _ref_baseline_run(spec, weather, seed):
     """historical_rollout, and warmup_initial_tau as its last tau_next:
     21 degC occupied, 17/26 degC setbacks otherwise."""
     z = spec.topology.num_zones
@@ -354,7 +354,7 @@ def _ref_baseline_run(spec, weather, seed, dt=1.0):
     rng = np.random.default_rng(seed)
     adj = plant._adjacency(spec.topology)
     state = _RefState(spec, np.full(z, 20.0))
-    h = dt / spec.substeps
+    h = 1.0 / spec.substeps
 
     tau = np.empty((n, z))
     p_h = np.zeros((n, z))
@@ -369,7 +369,7 @@ def _ref_baseline_run(spec, weather, seed, dt=1.0):
         acc_h = np.zeros(z)
         acc_c = np.zeros(z)
         for k in range(spec.substeps):
-            gains = _ref_gains(spec, hour_of_day + (k + 0.5) / spec.substeps * dt,
+            gains = _ref_gains(spec, hour_of_day + (k + 0.5) / spec.substeps,
                                occupied, rng)
             ph, pc, _, _ = _ref_substep(spec, state, lo, hi, weather[t],
                                         gains, h, adj, occupied=occupied)

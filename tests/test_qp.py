@@ -236,7 +236,7 @@ class TestPolish:
         scenario = DayScenario(
             ambient=-10.0 + 3.0 * np.sin(2 * np.pi * (hours - 9) / 24),
             initial_tau=np.full(5, 17.0), label=0, weight=1.0)
-        problem, idx = scheduler.assemble(rc.default_theta(5, 1.0, seed=7), scenario,
+        problem, idx = scheduler.assemble(rc.default_theta(5, seed=7), scenario,
                                           scheduler.default_tariff(24), config)
         return problem, idx
 

@@ -23,37 +23,37 @@ def random_theta(rng, z):
 
 class TestRcStep:
     def test_fixed_point_identity_alpha(self):
-        # alpha = I/dt supplies exact carryover; no driving terms
-        z, dt = 3, 1.0
-        theta = rc.ThetaParams(np.eye(z) / dt, np.ones(z), np.ones(z),
+        # alpha = I supplies exact carryover; no driving terms
+        z = 3
+        theta = rc.ThetaParams(np.eye(z), np.ones(z), np.ones(z),
                                np.full(z, 5.0), np.full(z, 3.0))
         tau = np.full(z, 20.0)
-        out = rc.rc_step(theta, tau, 20.0, np.zeros(z), np.zeros(z), dt)
+        out = rc.rc_step(theta, tau, 20.0, np.zeros(z), np.zeros(z))
         np.testing.assert_allclose(out, tau, atol=1e-12)
 
     def test_energy_balance_single_zone(self):
         # 2 kW for 1 h into 1 kWh/degC raises the zone by 2 degC
         theta = rc.ThetaParams([[1.0]], [1.0], [1.0], [1e6], [1.0])
-        out = rc.rc_step(theta, [20.0], 20.0, [2.0], [0.0], 1.0)
+        out = rc.rc_step(theta, [20.0], 20.0, [2.0], [0.0])
         np.testing.assert_allclose(out, [22.0], atol=1e-3)
 
     def test_matches_matrix_form_oracle(self, rng):
-        # independent dense evaluation tau' = M1 tau + M2 p + m3, built here
-        # from first principles
-        z, dt = 4, 0.5
+        # independent dense evaluation tau' = M1 tau + M2 p + m3 over one
+        # hour, built here from first principles
+        z = 4
         theta = random_theta(rng, z)
         tau = rng.uniform(15, 25, size=z)
         amb = 5.0
         p_h = rng.uniform(0, 3, size=z)
         p_c = rng.uniform(0, 3, size=z)
 
-        m1 = dt * theta.alpha - np.diag(dt / (theta.r * theta.c))
-        m2h = np.diag(dt * theta.eta_h / theta.c)
-        m2c = np.diag(-dt * theta.eta_c / theta.c)
-        m3 = dt * amb / (theta.r * theta.c)
+        m1 = theta.alpha - np.diag(1.0 / (theta.r * theta.c))
+        m2h = np.diag(theta.eta_h / theta.c)
+        m2c = np.diag(-theta.eta_c / theta.c)
+        m3 = amb / (theta.r * theta.c)
         oracle = m1 @ tau + m2h @ p_h + m2c @ p_c + m3
 
-        out = rc.rc_step(theta, tau, amb, p_h, p_c, dt)
+        out = rc.rc_step(theta, tau, amb, p_h, p_c)
         np.testing.assert_allclose(out, oracle, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -69,9 +69,9 @@ class TestRcStep:
         ph1, ph2 = rng.uniform(0, 4, (2, z))
         pc1, pc2 = rng.uniform(0, 4, (2, z))
         mixed = rc.rc_step(theta, a * tau1 + b * tau2, a * amb1 + b * amb2,
-                           a * ph1 + b * ph2, a * pc1 + b * pc2, 1.0)
-        parts = a * rc.rc_step(theta, tau1, amb1, ph1, pc1, 1.0) \
-            + b * rc.rc_step(theta, tau2, amb2, ph2, pc2, 1.0)
+                           a * ph1 + b * ph2, a * pc1 + b * pc2)
+        parts = a * rc.rc_step(theta, tau1, amb1, ph1, pc1) \
+            + b * rc.rc_step(theta, tau2, amb2, ph2, pc2)
         np.testing.assert_allclose(mixed, parts, atol=1e-10)
 
     def test_monotone_heating(self, rng):
@@ -79,11 +79,11 @@ class TestRcStep:
         theta = random_theta(rng, z)
         tau = rng.uniform(15, 25, size=z)
         p_h = rng.uniform(0, 2, size=z)
-        base = rc.rc_step(theta, tau, 0.0, p_h, np.zeros(z), 1.0)
+        base = rc.rc_step(theta, tau, 0.0, p_h, np.zeros(z))
         for zone in range(z):
             bumped = p_h.copy()
             bumped[zone] += 0.5
-            out = rc.rc_step(theta, tau, 0.0, bumped, np.zeros(z), 1.0)
+            out = rc.rc_step(theta, tau, 0.0, bumped, np.zeros(z))
             assert out[zone] > base[zone]
             np.testing.assert_allclose(np.delete(out, zone), np.delete(base, zone))
 
@@ -91,15 +91,15 @@ class TestRcStep:
 class TestRollout:
     def test_zero_steps_returns_initial(self):
         theta = rc.ThetaParams([[1.0]], [1.0], [1.0], [5.0], [3.0])
-        out = rc.rollout(theta, [19.0], np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1)), 1.0)
+        out = rc.rollout(theta, [19.0], np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1)))
         np.testing.assert_array_equal(out, [[19.0]])
 
     def test_constant_at_fixed_point(self):
-        z, dt, steps = 3, 1.0, 24
-        theta = rc.ThetaParams(np.eye(z) / dt, np.ones(z), np.ones(z),
+        z, steps = 3, 24
+        theta = rc.ThetaParams(np.eye(z), np.ones(z), np.ones(z),
                                np.full(z, 5.0), np.full(z, 3.0))
         out = rc.rollout(theta, np.full(z, 20.0), np.full(steps, 20.0),
-                         np.zeros((steps, z)), np.zeros((steps, z)), dt)
+                         np.zeros((steps, z)), np.zeros((steps, z)))
         np.testing.assert_allclose(out, 20.0, atol=1e-9)
 
     def test_recomposition_oracle(self, rng):
@@ -109,10 +109,10 @@ class TestRollout:
         amb = rng.uniform(-5, 30, size=steps)
         p_h = rng.uniform(0, 4, size=(steps, z))
         p_c = rng.uniform(0, 4, size=(steps, z))
-        out = rc.rollout(theta, tau0, amb, p_h, p_c, 1.0)
+        out = rc.rollout(theta, tau0, amb, p_h, p_c)
         state = tau0
         for t in range(steps):
-            state = rc.rc_step(theta, state, amb[t], p_h[t], p_c[t], 1.0)
+            state = rc.rc_step(theta, state, amb[t], p_h[t], p_c[t])
         np.testing.assert_allclose(out[-1], state, atol=1e-12)
 
 
@@ -149,34 +149,31 @@ class TestPackUnpack:
 
 class TestCoefficientJacobian:
     def test_ambient_coefficient_wrt_log_r(self):
-        # d(dt/(RC))/dlog R = -dt/(RC)
+        # d(1/(RC))/dlog R = -1/(RC)
         theta = rc.ThetaParams([[1.0]], [1.0], [1.0], [4.0], [2.0])
-        dt = 1.0
-        jac = rc.coefficient_jacobian(theta, dt).toarray()
-        leak = dt / (4.0 * 2.0)
+        jac = rc.coefficient_jacobian(theta).toarray()
+        leak = 1.0 / (4.0 * 2.0)
         row_amb = 1 * 1 + 2 * 1  # after m_tau and m_ph, m_pc blocks
         col_log_r = 1 + 2  # after alpha and the two eta entries
         assert jac[row_amb, col_log_r] == pytest.approx(-leak)
 
     def test_injection_coefficient_wrt_log_c(self):
-        # d(dt*eta_h/C)/dlog C = -dt*eta_h/C
+        # d(eta_h/C)/dlog C = -eta_h/C
         theta = rc.ThetaParams([[1.0]], [0.8], [1.0], [4.0], [2.0])
-        dt = 0.5
-        jac = rc.coefficient_jacobian(theta, dt).toarray()
-        inj = dt * 0.8 / 2.0
+        jac = rc.coefficient_jacobian(theta).toarray()
+        inj = 0.8 / 2.0
         row_ph = 1  # first m_ph row
         col_log_c = 1 + 3
         assert jac[row_ph, col_log_c] == pytest.approx(-inj)
 
     def test_full_map_finite_differences(self, rng):
-        dt = 1.0
         for theta in (random_theta(rng, 2), random_theta(rng, 4)):
             flat0 = rc.pack(theta)
-            jac = rc.coefficient_jacobian(theta, dt).toarray()
+            jac = rc.coefficient_jacobian(theta).toarray()
             assert jac.shape == (theta.num_zones * (theta.num_zones + 3), len(flat0))
 
             def coeffs(flat):
-                sc = rc.step_coefficients(rc.unpack(flat, theta.num_zones), dt)
+                sc = rc.step_coefficients(rc.unpack(flat, theta.num_zones))
                 return np.concatenate([sc.m_tau.ravel(), sc.m_ph, sc.m_pc, sc.m_amb])
 
             eps = 1e-7

@@ -14,7 +14,7 @@ def make_setup(rng, z=2, horizon=4):
     theta = rc.ThetaParams(np.eye(z), np.full(z, 0.9), np.full(z, 0.9),
                            np.full(z, 4.0), np.full(z, 2.0))
     cfg = scheduler.ScheduleConfig(
-        topology=topo, dt=1.0,
+        topology=topo,
         comfort_target=np.full((horizon, z), 21.0),
         comfort_weight=np.full((horizon, z), 2.0),
         zone_cap_h=np.full((horizon, z), 30.0),
@@ -53,8 +53,8 @@ class TestEvaluateModel:
             def __init__(self):
                 self.inner = plant.ExactRcPlant(theta)
 
-            def simulate(self, setpoints, ambient, seed, dt=1.0):
-                trace = self.inner.simulate(setpoints, ambient, seed, dt)
+            def simulate(self, setpoints, ambient, seed):
+                trace = self.inner.simulate(setpoints, ambient, seed)
                 bumped = trace.p_hvac_obs + 0.5  # constant 0.5 kW extra, heating
                 return SimulationTrace(trace.tau_obs, bumped, bumped.sum(axis=1),
                                        trace.p_heat_obs + 0.5, trace.p_cool_obs)
@@ -68,7 +68,7 @@ class TestEvaluateModel:
         # spreadsheet cost recomputation
         result = scheduler.solve_schedule(theta, scen, tariff, cfg)
         observed_import = result.p_import + 0.5
-        expost = tariff.cost_of(observed_import, 1.0)
+        expost = tariff.cost_of(observed_import)
         assert report.expost_cost == pytest.approx(expost, abs=1e-8)
         assert report.cost_error == pytest.approx(expost - result.expected_cost,
                                                   abs=1e-8)

@@ -9,12 +9,12 @@ from conftest import rel_err
 
 def make_config(topo, horizon, *, target=21.0, weight=1.0, zone_cap_h=50.0,
                 zone_cap_c=50.0, floor_cap_h=500.0, floor_cap_c=500.0,
-                line_capacity=5000.0, dt=1.0):
+                line_capacity=5000.0):
     z, f = topo.num_zones, topo.num_floors
     weight_arr = np.full((horizon, z), weight, dtype=float) if np.isscalar(weight) else weight
     target_arr = np.full((horizon, z), target, dtype=float) if np.isscalar(target) else target
     return scheduler.ScheduleConfig(
-        topology=topo, dt=dt,
+        topology=topo,
         comfort_target=target_arr, comfort_weight=weight_arr,
         zone_cap_h=np.full((horizon, z), zone_cap_h),
         zone_cap_c=np.full((horizon, z), zone_cap_c),
@@ -23,9 +23,9 @@ def make_config(topo, horizon, *, target=21.0, weight=1.0, zone_cap_h=50.0,
         line_capacity=line_capacity)
 
 
-def carryover_theta(z, dt=1.0, c=1.0, r=1e6, eta=1.0):
-    """alpha = I/dt: exact persistence, so power maps directly to degrees."""
-    return rc.ThetaParams(np.eye(z) / dt, np.full(z, eta), np.full(z, eta),
+def carryover_theta(z, c=1.0, r=1e6, eta=1.0):
+    """alpha = I: exact persistence, so power maps directly to degrees."""
+    return rc.ThetaParams(np.eye(z), np.full(z, eta), np.full(z, eta),
                           np.full(z, r), np.full(z, c))
 
 
@@ -109,7 +109,7 @@ class TestSolveSchedule:
                                        tariff, cfg)
 
         offpeak = tariff.energy_price == 0.3
-        peak_energy = res.p_import[~offpeak].sum() * cfg.dt
+        peak_energy = res.p_import[~offpeak].sum()  # kWh: one-hour steps
         assert peak_energy <= 1e-5
 
         # oracle: spread the energy over the k cheapest hours, k = 1..11
@@ -203,7 +203,7 @@ class TestExpectedCost:
     def test_flat_import_arithmetic(self):
         # 1 kW flat for 24 h at 0.3 eur/kWh with a 10 eur/kW charge: 17.2 eur
         tariff = scheduler.Tariff(np.full(24, 0.3), 10.0)
-        assert tariff.cost_of(np.ones(24), dt=1.0) == pytest.approx(17.2)
+        assert tariff.cost_of(np.ones(24)) == pytest.approx(17.2)
 
     def test_random_schedule_reaccumulation(self, rng):
         topo = rc.default_topology(2)
@@ -215,7 +215,7 @@ class TestExpectedCost:
         # spreadsheet-style re-accumulation
         manual = res.p_peak * 7.0
         for t in range(12):
-            manual += res.p_import[t] * tariff.energy_price[t] * cfg.dt
+            manual += res.p_import[t] * tariff.energy_price[t]
         assert scheduler.expected_cost(res, tariff) == pytest.approx(manual, abs=1e-9)
 
 
@@ -294,7 +294,7 @@ class TestDynamicsSlotLayout:
         theta = masked_theta()
         problem, idx = scheduler.assemble(theta, scen, tariff, cfg)
         cmap = scheduler.coefficient_map(theta, scen, cfg)
-        coeff = rc.step_coefficients(theta, cfg.dt)
+        coeff = rc.step_coefficients(theta)
 
         expected_a, expected_b = {}, {}
         for t in range(horizon):
