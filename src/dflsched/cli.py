@@ -74,20 +74,28 @@ class CliError(Exception):
 def load_config(path: str | None) -> dict:
     """DEFAULT_CONFIG with a user JSON file merged over it, one level deep.
     Keys the defaults lack are refused, except in the _OPEN_SECTIONS, whose
-    other keys build_plant_spec and TrainConfig check."""
+    other keys build_plant_spec and TrainConfig check; so is a section
+    given as anything but an object."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path and path != "default":
         user = json.loads(Path(path).read_text())
+        if not isinstance(user, dict):
+            raise CliError("a config file must hold one JSON object")
         unknown = sorted(set(user) - set(cfg))
+        not_objects = []
         for key, value in user.items():
-            if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+            if not isinstance(cfg.get(key), dict):
+                cfg[key] = value
+            elif not isinstance(value, dict):
+                not_objects.append(key)
+            else:
                 if key not in _OPEN_SECTIONS:
                     unknown += sorted(f"{key}.{sub}" for sub in set(value) - set(cfg[key]))
                 cfg[key].update(value)
-            else:
-                cfg[key] = value
         if unknown:
             raise CliError(f"unknown config keys: {unknown}")
+        if not_objects:
+            raise CliError(f"config sections that must be objects: {not_objects}")
     return cfg
 
 

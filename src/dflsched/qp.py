@@ -19,10 +19,11 @@ posed, so a singleton row (an initial condition) keeps its variable and dual.
 
 Every matrix is one KKT pattern [[H, C'], [C, 0]] from ``_kkt_matrix``, a CSC
 matrix with its diagonal stored: the Newton matrix (``_NewtonKkt``, values
-refreshed per iteration), and the one-shot systems that ``_solve_kkt``
-shifts, factors and refines (the least-norm start, which certifies
-inconsistent equalities, problems without inequalities, the active-set
-polish, warm-started from the interior-point iterate, and the adjoint).
+refreshed per iteration, columns ordered once per solve), and the one-shot
+systems that ``_solve_kkt`` shifts, factors and refines (the least-norm
+start, which certifies inconsistent equalities, problems without
+inequalities, the active-set polish, warm-started from the interior-point
+iterate, and the adjoint).  Every factorization goes through ``_splu``.
 """
 from __future__ import annotations
 
@@ -67,6 +68,11 @@ _ADJOINT_REG = 1e-10
 # Above this many variables only a diagonal Q is checked for PSD exactly.
 _PSD_CHECK_LIMIT = 200
 _NO_ENTRIES = np.zeros(0, dtype=int)
+# The interior-point method tries the active-set polish once its KKT residual
+# falls below _POLISH_FROM, and again each time it has fallen _POLISH_RETRY
+# times lower than at the last try.
+_POLISH_FROM = 1e-3
+_POLISH_RETRY = 0.1
 
 
 def _csr(m, shape) -> sp.csr_matrix:
@@ -151,6 +157,16 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
+    """A solve's point, status and final KKT residual.
+
+    ``iterations`` counts the interior-point iterates examined, the start
+    included: the solve took one Newton step fewer, unless ``max_iter``
+    ended it.  ``polish_rounds`` counts the rounds of the polish that gave
+    the returned point.  That is the try that ended the solve early, or
+    the polish after the last iteration.  Earlier tries that did not pass
+    OPTIMAL's test are not counted.
+    """
+
     primal: np.ndarray
     dual_eq: np.ndarray
     dual_in: np.ndarray
@@ -277,6 +293,10 @@ class _NewtonKkt:
     the static part (Q, A, A' and the signed regularization) plus a linear
     map of the scaling D: row k of G adds G[k,i] G[k,j] D[k] to (i, j).  Each
     iteration refreshes only the values of one CSC matrix.
+
+    The pattern never changes within a solve, so it is ordered once: the
+    first ``factor`` orders the columns by COLAMD and stores the pattern in
+    that order, and every later one factors it as stored.
     """
 
     def __init__(self, Q: sp.csr_matrix, A: sp.csr_matrix, G: sp.csr_matrix):
@@ -295,11 +315,41 @@ class _NewtonKkt:
         self._static[diag] += np.where(np.arange(len(diag)) < n, _IPM_REG, -_IPM_REG)
         self._scaling = sp.csr_matrix((G.data[ea] * G.data[eb], (pair, g_row)),
                                       shape=(self._K.nnz, m_in))
+        self._order = None  # column j of the stored matrix is column _order[j]
 
     def matrix(self, D: np.ndarray) -> sp.csc_matrix:
-        """The Newton matrix at scaling D (the same object, values refreshed)."""
+        """The Newton matrix at scaling D with its columns in the stored
+        order (the same object, values refreshed)."""
         self._K.data[:] = self._static + self._scaling @ D
         return self._K
+
+    def factor(self, D: np.ndarray):
+        """The solution map r -> K(D)^-1 r of the Newton matrix at scaling D."""
+        K = self.matrix(D)
+        if self._order is None:
+            lu = _splu(K)
+            # SuperLU factors K Pc with Pc[i, perm_c[i]] = 1: column j of
+            # K Pc is column argsort(perm_c)[j] of K
+            self._store_in_order(np.argsort(lu.perm_c))
+            return lu.solve
+        lu, order = _splu(K, "NATURAL"), self._order
+
+        def solve(rhs):
+            x = np.empty_like(rhs)
+            x[order] = lu.solve(rhs)
+            return x
+        return solve
+
+    def _store_in_order(self, order: np.ndarray) -> None:
+        K, S = self._K, self._scaling
+        counts, at = _segments(K.indptr, order)
+        self._K = sp.csc_matrix((K.data[at], K.indices[at], _indptr(counts)), shape=K.shape)
+        self._K.has_canonical_format = True
+        self._static = self._static[at]
+        counts, s_at = _segments(S.indptr, at)
+        self._scaling = sp.csr_matrix((S.data[s_at], S.indices[s_at], _indptr(counts)),
+                                      shape=S.shape)
+        self._order = order
 
 
 def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> QpSolution:
@@ -311,6 +361,12 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
     certified INFEASIBLE by the least-norm start, at every problem size;
     problems without inequalities are certified UNBOUNDED by their KKT solve.
     Otherwise INFEASIBLE and UNBOUNDED are detected from iterate divergence.
+
+    Once the KKT residual is below _POLISH_FROM, the active-set polish is
+    tried from the iterate, and tried again after each further fall by
+    _POLISH_RETRY.  The solve returns the first polished point that passes
+    OPTIMAL's test.  Otherwise it iterates to ``tolerance`` and polishes the
+    best iterate.
     """
     if tolerance <= 0:
         raise QpError("tolerance must be positive")
@@ -343,6 +399,7 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
     it = 0
     best_res = np.inf
     best = (u.copy(), y.copy(), z.copy())
+    polish_below = _POLISH_FROM
     for it in range(1, max_iter + 1):
         Gu = G @ u
         r_d = Q @ u + q + AT @ y + GT @ z
@@ -357,6 +414,13 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
         if res <= tolerance:
             status = QpStatus.OPTIMAL
             break
+        if res < polish_below:
+            # near the optimum the iterate marks the active set: finish here
+            # if the polished point passes OPTIMAL's test, else go on
+            polish_below = _POLISH_RETRY * res
+            pu, py, pz, p_res, rounds = _polish(problem, u, y, z, res)
+            if p_res <= tolerance:
+                return _finish(problem, pu, py, pz, QpStatus.OPTIMAL, it, tolerance, rounds)
         # central path numerically exhausted: pushing mu further only
         # degrades the dual residual through the 1/s scaling
         if mu_gap <= 1e-3 * tolerance:
@@ -375,13 +439,13 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
         s_safe = np.maximum(s, 1e-300)
         D = np.minimum(z / s_safe, 1e16)
         try:
-            factor = spla.splu(kkt.matrix(D))
+            newton_solve = kkt.factor(D)
         except RuntimeError:
             break  # leaves MAX_ITER with the current iterate
 
         def newton(r_sz):
             rhs_u = -(r_d + GT @ (D * r_g - r_sz / s_safe))
-            sol = factor.solve(np.concatenate([rhs_u, -r_p]))
+            sol = newton_solve(np.concatenate([rhs_u, -r_p]))
             du, dy = sol[:n], sol[n:]
             dz = D * (G @ du + r_g) - r_sz / s_safe
             ds = -r_g - G @ du
@@ -419,14 +483,18 @@ def _polish(p: QpProblem, u, y, z, res):
     those rows are dependent (a floor cap binding with all its zone caps),
     the multipliers keep the interior point's positive split, so one round
     usually suffices; otherwise the set changes (drop negative-dual rows,
-    add violated rows) for up to 12 rounds.  Returns the best candidate by
-    KKT residual, or the incoming iterate, and the number of rounds.
+    add violated rows) for up to 12 rounds, and stops when a set comes back:
+    a round depends only on its set, so the rounds after would repeat.
+    Returns the best candidate by KKT residual, or the incoming iterate, and
+    the number of rounds.
     """
     n, m_eq = p.num_vars, p.num_eq
     slack = p.h - p.G @ u
-    act = set(np.flatnonzero(z > np.maximum(slack, 1e-12)).tolist())
+    act = frozenset(np.flatnonzero(z > np.maximum(slack, 1e-12)).tolist())
     best = (u, y, z, res)
+    seen = set()
     for rounds in range(1, 13):
+        seen.add(act)
         rows = np.array(sorted(act), dtype=int)
         rhs = np.concatenate([-p.q, p.b, p.h[rows]])
         try:
@@ -437,19 +505,19 @@ def _polish(p: QpProblem, u, y, z, res):
             # cap plus every one of its zone caps): prune the weakest active
             if not rows.size:
                 break
-            act.discard(int(rows[np.argmin(z[rows])]))
-            continue
-        u2, y2, duals = sol[:n], sol[n:n + m_eq], sol[n + m_eq:]
-        z2 = np.zeros(p.num_in)
-        z2[rows] = np.maximum(duals, 0.0)
-        res2 = kkt_residual(p, QpSolution(u2, y2, z2, 0.0, QpStatus.OPTIMAL, 0.0))
-        if res2 < best[3]:
-            best = (u2, y2, z2, res2)
-        negative = set(rows[duals < -1e-10].tolist())
-        violated = set(np.flatnonzero(p.G @ u2 - p.h > 1e-10).tolist())
-        if (act - negative) | violated == act:
+            act = act - {int(rows[np.argmin(z[rows])])}
+        else:
+            u2, y2, duals = sol[:n], sol[n:n + m_eq], sol[n + m_eq:]
+            z2 = np.zeros(p.num_in)
+            z2[rows] = np.maximum(duals, 0.0)
+            res2 = kkt_residual(p, QpSolution(u2, y2, z2, 0.0, QpStatus.OPTIMAL, 0.0))
+            if res2 < best[3]:
+                best = (u2, y2, z2, res2)
+            negative = rows[duals < -1e-10].tolist()
+            violated = np.flatnonzero(p.G @ u2 - p.h > 1e-10).tolist()
+            act = (act - set(negative)) | set(violated)
+        if act in seen:
             break
-        act = (act - negative) | violated
     return (*best, rounds)
 
 
@@ -554,11 +622,21 @@ def backward(problem: QpProblem, solution: QpSolution,
     return SolutionSensitivity(u, solution.dual_eq, mu, v[:n], v[n:n + m_eq], v_mu)
 
 
+def _segments(indptr: np.ndarray, order) -> tuple:
+    """Per-row counts and data positions of the stored entries of rows
+    ``order`` of a compressed matrix (columns, for CSC), in that order."""
+    counts = np.diff(indptr)[order]
+    return counts, np.repeat(indptr[order] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
 def _entries(M: sp.csr_matrix, rows) -> tuple:
     """Row, column and value of each stored entry in rows ``rows`` of the
     CSR matrix M, the rows numbered from 0 in the order given."""
-    counts = np.diff(M.indptr)[rows]
-    at = np.repeat(M.indptr[rows] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    counts, at = _segments(M.indptr, rows)
     return np.repeat(np.arange(len(counts)), counts), M.indices[at], M.data[at]
 
 
@@ -582,10 +660,19 @@ def _kkt_matrix(H, A, G, active=_NO_ENTRIES, extra=(_NO_ENTRIES, _NO_ENTRIES)):
     keys, slot = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
     # float even without entries, where bincount returns integers
     data = np.bincount(slot[:len(vals)], weights=vals, minlength=len(keys)).astype(float)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // size, minlength=size))])
+    indptr = _indptr(np.bincount(keys // size, minlength=size))
     K = sp.csc_matrix((data, keys % size, indptr), shape=(size, size))
     K.has_canonical_format = True
     return K, slot[len(vals):len(vals) + size], slot[len(vals) + size:]
+
+
+def _splu(K: sp.csc_matrix, permc_spec: str = "COLAMD") -> spla.SuperLU:
+    """SuperLU factors of K; every factorization in this module comes from
+    here.  One column per panel and no relaxed supernodes suit these small,
+    very sparse KKT matrices: of the (panel_size, relax) pairs swept, (1, 1)
+    factored the scheduling QPs' Newton and one-shot matrices fastest or
+    within noise of fastest, at 5 and 15 zones."""
+    return spla.splu(K, permc_spec=permc_spec, panel_size=1, relax=1)
 
 
 def _solve_kkt(H, A, G, rhs: np.ndarray, active=_NO_ENTRIES,
@@ -606,7 +693,7 @@ def _solve_kkt(H, A, G, rhs: np.ndarray, active=_NO_ENTRIES,
     for delta in (_ADJOINT_REG, 1e-8, 1e-6):
         shifted.data[diag] = K.data[diag] + delta * shift
         try:
-            factor = spla.splu(shifted)
+            factor = _splu(shifted)
         except RuntimeError:
             continue
         v = factor.solve(rhs) if v0 is None else v0 + factor.solve(rhs - K @ v0)
@@ -614,7 +701,9 @@ def _solve_kkt(H, A, G, rhs: np.ndarray, active=_NO_ENTRIES,
             if not np.all(np.isfinite(v)):
                 break
             r = rhs - K @ v
-            if np.max(np.abs(r)) <= 1e-14 * scale:
+            # tight enough that a polish refined from an early, rough
+            # iterate leaves its complementarity mu * (Gu - h) at round-off
+            if np.max(np.abs(r)) <= 1e-15 * scale:
                 break
             v = v + factor.solve(r)
         if np.all(np.isfinite(v)) and np.max(np.abs(K @ v - rhs)) <= 1e-6 * scale:

@@ -153,3 +153,17 @@ class TestConfig:
         result = invoke(["synth-weather", "--config", str(path), "--out", str(tmp_path)])
         assert result.exit_code == 1
         assert not (tmp_path / "weather_historical.csv").exists()
+
+    @pytest.mark.parametrize("doc,match", [
+        ({"tariff": 5}, r"\['tariff'\]"),
+        ({"comfort": [21.0], "dfl": None}, r"\['comfort', 'dfl'\]"),
+        ([{"tariff": {}}], "one JSON object"),
+    ])
+    def test_section_that_is_not_an_object_refused(self, tmp_path, doc, match):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cli.CliError, match=match):
+            cli.load_config(str(path))
+        result = invoke(["synth-weather", "--config", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert not (tmp_path / "weather_historical.csv").exists()

@@ -174,6 +174,32 @@ class TestSolve:
             count += 1
 
 
+def schedule_qp(zones: int, horizon: int = 24) -> qp.QpProblem:
+    """The scheduling QP of a seed-7 building on a day whose ambient swings
+    6 K around 2 C, from zones all at 19 C."""
+    from dflsched import rc, scheduler
+    from dflsched.scenarios import DayScenario
+    topo = rc.default_topology(zones)
+    hours = np.arange(horizon)
+    scenario = DayScenario(
+        ambient=2.0 + 6.0 * np.sin(2 * np.pi * (hours - 9) / 24),
+        initial_tau=np.full(zones, 19.0), label=0, weight=1.0)
+    problem, _ = scheduler.assemble(
+        rc.default_theta(zones, seed=7), scenario, scheduler.default_tariff(horizon),
+        scheduler.default_schedule_config(topo, horizon=horizon))
+    return problem
+
+
+def newton_reference(p, G, D):
+    """The Newton matrix of ``_NewtonKkt`` assembled afresh with sp.bmat."""
+    import scipy.sparse as sp
+    n, m_eq = p.num_vars, p.num_eq
+    top = p.Q + G.T @ sp.diags(D) @ G + qp._IPM_REG * sp.identity(n)
+    ref = sp.bmat([[top, p.A.T], [p.A, -qp._IPM_REG * sp.identity(m_eq)]]
+                  ) if m_eq else top
+    return ref.tocsc()
+
+
 class TestNewtonKkt:
     @pytest.mark.parametrize("m_eq", [0, 2])
     def test_matches_direct_assembly(self, rng, m_eq):
@@ -188,13 +214,33 @@ class TestNewtonKkt:
         kkt = qp._NewtonKkt(p.Q, p.A, G)
         for _ in range(2):
             D = rng.uniform(0.0, 1e3, size=m_in)
-            top = p.Q + G.T @ sp.diags(D) @ G + qp._IPM_REG * sp.identity(n)
-            ref = sp.bmat([[top, p.A.T], [p.A, -qp._IPM_REG * sp.identity(m_eq)]]
-                          ) if m_eq else top
+            ref = newton_reference(p, G, D)
             K = kkt.matrix(D)
             assert K.format == "csc"
             np.testing.assert_allclose(K.toarray(), ref.toarray(),
                                        rtol=1e-13, atol=1e-12)
+
+    @pytest.mark.parametrize("zones", [1, 3])
+    def test_factor_in_stored_order_solves_like_fresh_splu(self, rng, zones):
+        # the first factor fixes the column order; later factors at other
+        # scalings work on the pattern stored in that order and must solve
+        # K(D) x = r as accurately as a fresh factorization of K(D)
+        import scipy.sparse.linalg as spla
+        p = schedule_qp(zones, horizon=6)
+        size = p.num_vars + p.num_eq
+        kkt = qp._NewtonKkt(p.Q, p.A, p.G)
+        for k in range(3):
+            D = rng.uniform(0.0, 1e3, size=p.num_in)
+            solve = kkt.factor(D)
+            ref = newton_reference(p, p.G, D)
+            r = rng.normal(size=size)
+            x, fresh = solve(r), spla.splu(ref).solve(r)
+            floor = 1e-14 * np.abs(r).max()
+            assert np.abs(ref @ x - r).max() <= 10 * max(np.abs(ref @ fresh - r).max(), floor), k
+            np.testing.assert_allclose(x, fresh, rtol=1e-10, atol=1e-12)
+        # the order moves columns, so a wrong gather map or a missing
+        # un-permutation shows
+        assert not np.array_equal(kkt._order, np.arange(size))
 
 
 class TestKktMatrix:
@@ -259,6 +305,52 @@ class TestPolish:
         assert cold.status == qp.QpStatus.OPTIMAL
         assert cold.polish_rounds > 1
         np.testing.assert_allclose(s.primal, cold.primal, rtol=0, atol=1e-9)
+
+
+class TestEarlyPolish:
+    def test_seed7_schedule_factorization_count(self, monkeypatch):
+        # exact SuperLU factorizations of one 5-zone solve: the least-norm
+        # start, 7 Newton steps (the first orders the pattern, the other 6
+        # reuse that order) and a 2-round polish that ends the solve at
+        # iteration 8.  Without the early polish and the stored order this
+        # solve takes 13 iterations and 14 COLAMD factorizations.
+        import scipy.sparse.linalg as spla
+        p = schedule_qp(5)
+        specs = []
+        splu = spla.splu
+
+        def counting(K, permc_spec="COLAMD", **kwargs):
+            specs.append(permc_spec)
+            return splu(K, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(qp.spla, "splu", counting)
+        s = qp.solve(p)
+        assert s.status == qp.QpStatus.OPTIMAL and s.kkt_residual <= 1e-8
+        assert (s.iterations, s.polish_rounds) == (8, 2)
+        assert len(specs) == 10
+        assert specs.count("NATURAL") == 6
+
+    def test_failed_try_keeps_iterating(self, monkeypatch):
+        # the first try's active set alternates between two sets, so the
+        # polish stops after two rounds without certifying; the interior
+        # point goes on and a later try finishes the solve
+        p = random_strictly_convex_qp(np.random.default_rng(33), n=3, m_eq=1, m_in=9)
+        tries = []
+        polish = qp._polish
+
+        def recording(*args):
+            out = polish(*args)
+            tries.append((args[4], out[3], out[4]))
+            return out
+
+        monkeypatch.setattr(qp, "_polish", recording)
+        s = qp.solve(p)
+        first_res, first_polished, first_rounds = tries[0]
+        assert first_res < qp._POLISH_FROM
+        assert first_polished > 1e-8 and first_rounds == 2
+        assert len(tries) > 1
+        assert s.status == qp.QpStatus.OPTIMAL and s.kkt_residual <= 1e-8
+        np.testing.assert_allclose(s.primal, enumerate_active_sets(p)[0], atol=1e-8)
 
 
 class TestKktResidual:
