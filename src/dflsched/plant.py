@@ -134,11 +134,6 @@ class SimulationTrace:
     p_import_obs: np.ndarray  # (T,)
     p_heat_obs: np.ndarray  # (T, Z) electrical, heating share
     p_cool_obs: np.ndarray  # (T, Z) electrical, cooling share
-    # thermal bookkeeping over the run (kWh), for energy-sanity checks
-    energy_delivered_kwh: float = 0.0
-    energy_envelope_kwh: float = 0.0  # negative when the building loses heat
-    energy_gains_kwh: float = 0.0
-    energy_storage_kwh: float = 0.0  # air+mass heat content change
 
 
 def adjacency_mask(topology: ZoneTopology) -> np.ndarray:
@@ -178,12 +173,29 @@ class _Run(NamedTuple):
     tau: np.ndarray  # (T+1, Z) air temperature at each hour boundary
     p_heat: np.ndarray  # (T, Z) mean electrical power per hour, heating share
     p_cool: np.ndarray  # (T, Z) cooling share
-    energy: tuple | None  # delivered, envelope, gains, storage (kWh)
+
+
+def _floor_sum(values: list, members) -> float:
+    """``np.add.reduce`` of ``values`` at ``members``, in its pairwise order:
+    from 0.0 one by one below 8 members, in 8 interleaved partial sums up to
+    128, and as two halves split at a multiple of 8 above."""
+    n = len(members)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _floor_sum(values, members[:half]) + _floor_sum(values, members[half:])
+    total, end = 0.0, 0
+    if n >= 8:
+        r, end = [values[i] for i in members[:8]], n - n % 8
+        for k in range(8, end, 8):
+            r = [a + values[i] for a, i in zip(r, members[k:k + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in members[end:]:
+        total += values[i]
+    return total
 
 
 def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray,
-           lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator,
-           energy: bool = False) -> _Run:
+           lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator) -> _Run:
     """The plant's time-stepping loop, shared by every public entry point.
 
     Air and mass nodes start at ``tau0`` with an empty integrator, then
@@ -194,118 +206,111 @@ def _drive(spec: PlantSpec, tau0: np.ndarray, weather: np.ndarray,
     band; the integrator only accumulates while the equipment can deliver
     the command (conditional-integration anti-windup).  Floor AHU coils
     curtail proportionally at their rating and reheat tops up heating up to
-    its own; zones on no floor get no HVAC.  ``energy`` adds the run's
-    thermal bookkeeping.
+    its own; zones on no floor get no HVAC.
+
+    Zones step as Python floats, with the IEEE operations and order of the
+    elementwise numpy form: ``np.maximum(a, b)`` is ``a if a > b else b``
+    and floor totals follow ``_floor_sum``.  Only the envelope law's power
+    and the zone coupling's BLAS matvec stay in numpy; on some hosts they
+    differ from Python's ``**`` and from a sequential sum.
     """
     z = spec.topology.num_zones
     n = len(weather)
     m = spec.substeps
     h = 1.0 / m
     adj = _adjacency(spec.topology)
-    adj_rows = adj.sum(axis=1)
-    exponent = spec.convection_exponent - 1.0
     hour_frac = np.arange(24)[:, None] + (np.arange(m) + 0.5) / m
-    solar = _solar_profile(hour_frac, spec.solar_gain_peak)[:, :, None]
-    # scalar factors as (Z,) arrays: the same IEEE operations, without
-    # numpy's per-call scalar conversion (``**`` keeps its scalar exponent)
-    kp, ki, h_z, duct, fan, r_zone, tol, ten, zero = (
-        np.full(z, v) for v in (spec.kp, spec.ki, h, 1.0 - spec.duct_loss,
-                                spec.fan_coeff, spec.r_zone, 1e-9, 10.0, 0.0))
+    solar = _solar_profile(hour_frac, spec.solar_gain_peak).tolist()
+    exponent = spec.convection_exponent - 1.0
+    kp, ki, fan, r_zone, duct = (float(v) for v in (spec.kp, spec.ki, spec.fan_coeff,
+                                                    spec.r_zone, 1.0 - spec.duct_loss))
+    adj_rows, r_env, r_mass, c_air, c_mass, vent, gain_occupied, gain_base = (
+        v.tolist() for v in (adj.sum(axis=1), spec.r_env, spec.r_mass, spec.c_air,
+                             spec.c_mass, spec.vent_fan_kw, spec.gain_occupied, spec.gain_base))
+    # zones on no floor take the extra last coil scale, zero, and no reheat
+    floors = list(zip(spec.topology.floors, spec.ahu_heat_rating.tolist(),
+                      spec.ahu_cool_rating.tolist()))
+    on_floor = {zone: f for f, (members, _, _) in enumerate(floors) for zone in members}
+    floor_of = [on_floor.get(zone, len(floors)) for zone in range(z)]
+    reheat_cap = [r if zone in on_floor else 0.0
+                  for zone, r in enumerate(spec.reheat_rating.tolist())]
 
-    # Floor AHU totals per zone, row 0 heating and row 1 cooling.  Zones on
-    # floors of one size gather their floor's members into a (2, zones,
-    # size) block, so each total is the same contiguous sum as a per-floor
-    # slice (np.add.reduceat, or zero padding once a row reaches numpy's
-    # 8-wide unrolled sum, differ in the last bit).  Zones on no floor keep
-    # total 1 against rating 0: zero scale.
-    floors = spec.topology.floors
-    floor_of = {zone: f for f, members in enumerate(floors) for zone in members}
-    rating = np.zeros((2, z))
-    for zone, f in floor_of.items():
-        rating[:, zone] = spec.ahu_heat_rating[f], spec.ahu_cool_rating[f]
-    groups = []
-    for size in sorted({len(members) for members in floors} - {0}):
-        zones = sorted(zone for zone, f in floor_of.items() if len(floors[f]) == size)
-        idx = np.array([floors[floor_of[zone]] for zone in zones])
-        contiguous = zones[-1] - zones[0] + 1 == len(zones)
-        sel = slice(zones[0], zones[-1] + 1) if contiguous else np.array(zones)
-        groups.append((sel, np.stack((idx, idx + z))))
-    total = np.ones((2, z))
-    reheat_cap = np.where(rating[0] > 0.0, spec.reheat_rating, 0.0)
-    signed = np.empty((2, z))
-
-    t_air = np.asarray(tau0, dtype=float).copy()
-    t_mass = t_air.copy()
-    integral = np.zeros(z)
-    heat0 = float(spec.c_air @ t_air + spec.c_mass @ t_mass)
+    t_air = np.asarray(tau0, dtype=float).tolist()
+    t_mass = list(t_air)
+    integral = [0.0] * z
     tau = np.empty((n + 1, z))
     tau[0] = t_air
-    p_heat = np.zeros((n, z))
-    p_cool = np.zeros((n, z))
-    e_delivered = e_envelope = e_gains = 0.0
-    flows = np.empty((2, m, z))  # q_hvac and q_env per substep, for energy
+    p_heat, p_cool = np.empty((n, z)), np.empty((n, z))
+    lo, hi = np.broadcast_to(lo, (n, z)), np.broadcast_to(hi, (n, z))
+    no_noise = [[0.0] * z] * m
+    # numpy's work: air temperatures and |dT / 10| in, coupling and power out
+    numpy_in, numpy_out = np.empty(2 * z), np.empty(2 * z)
+    air_in, ratio_in, coupled_out, power_out = (
+        numpy_in[:z], numpy_in[z:], numpy_out[:z], numpy_out[z:])
 
-    for t, occupied in enumerate(_calendar(n).tolist()):
-        band_lo, band_hi = lo[t], hi[t]
-        ambient = np.full(z, weather[t])
-        cop = np.full(z, spec.cop(weather[t]))
-        base = spec.gain_occupied if occupied else spec.gain_base
-        noise = rng.normal(0.0, spec.noise_std, size=(m, z)) if spec.noise_std > 0 \
-            else np.zeros((m, z))
-        gains = base + solar[t % 24] + noise
-        acc_h = np.zeros(z)
-        acc_c = np.zeros(z)
-        for k in range(m):
-            err = np.minimum(np.maximum(t_air, band_lo), band_hi) - t_air
-            cmd = kp * err + ki * integral
-            signed[0] = cmd
-            np.negative(cmd, out=signed[1])
-            want = np.maximum(signed, zero)
-            flat = want.ravel()
-            for sel, gather in groups:
-                total[:, sel] = flat[gather].sum(axis=-1)
+    for t, (occupied, ambient) in enumerate(zip(_calendar(n).tolist(), weather.tolist())):
+        band_lo, band_hi = lo[t].tolist(), hi[t].tolist()
+        cop = spec.cop(ambient)
+        base = gain_occupied if occupied else gain_base
+        noise = rng.normal(0.0, spec.noise_std, size=(m, z)).tolist() \
+            if spec.noise_std > 0 else no_noise
+        acc_h, acc_c = [0.0] * z, [0.0] * z
+        for sun, noise_k in zip(solar[t % 24], noise):
+            d_t, ratio, err, cmd, want_h, want_c = [], [], [], [], [], []
+            for ta, b_lo, b_hi, acc in zip(t_air, band_lo, band_hi, integral):
+                d = ambient - ta
+                d_t.append(d)
+                ratio.append(abs(d / 10.0))
+                clipped = ta if ta > b_lo else b_lo
+                e = (clipped if clipped < b_hi else b_hi) - ta
+                c = kp * e + ki * acc
+                err.append(e)
+                cmd.append(c)
+                want_h.append(c if c > 0.0 else 0.0)
+                want_c.append(-c if -c > 0.0 else 0.0)
+            numpy_in[:] = t_air + ratio
+            np.matmul(adj, air_in, out=coupled_out)
+            np.power(ratio_in, exponent, out=power_out)
+            numpy_results = numpy_out.tolist()
+            coupled, power = numpy_results[:z], numpy_results[z:]
             # == min(1, rating / total) for total > 0; 1 when the floor wants 0
-            coil = want * (rating / np.maximum(total, rating))
-            ahu_h, cool = coil[0], coil[1]
-            reheat = np.minimum(want[0] - ahu_h, reheat_cap)
-            heat = ahu_h + reheat
-            saturated = np.abs(heat - cool - cmd) > tol
-            integral = np.where(saturated, integral, integral + err * h_z)
+            scale_h, scale_c = [], []
+            for members, r_h, r_c in floors:
+                total = _floor_sum(want_h, members)
+                scale_h.append(r_h / (total if total > r_h else r_h))
+                total = _floor_sum(want_c, members)
+                scale_c.append(r_c / (total if total > r_c else r_c))
+            scale_h.append(0.0)
+            scale_c.append(0.0)
 
-            q_hvac = duct * (ahu_h - cool) + reheat
-            d_t = ambient - t_air
-            q_env = d_t * np.abs(d_t / ten) ** exponent / spec.r_env
-            q_zz = (adj @ t_air - adj_rows * t_air) / r_zone
-            q_ma = (t_mass - t_air) / spec.r_mass
-            t_air = t_air + h_z * (q_hvac + gains[k] + q_env + q_zz + q_ma) / spec.c_air
-            t_mass = t_mass - h_z * q_ma / spec.c_mass
-
-            fan_kw = fan * coil
-            ph = heat + fan_kw[0]
-            pc = cool / cop + fan_kw[1]
-            if occupied:
-                heat_side = cmd >= zero
-                ph = ph + np.where(heat_side, spec.vent_fan_kw, zero)
-                pc = pc + np.where(heat_side, zero, spec.vent_fan_kw)
-            acc_h += ph
-            acc_c += pc
-            if energy:
-                flows[0, k] = q_hvac
-                flows[1, k] = q_env
+            for i, f in enumerate(floor_of):
+                ahu_h = want_h[i] * scale_h[f]
+                cool = want_c[i] * scale_c[f]
+                short = want_h[i] - ahu_h
+                reheat = short if short < reheat_cap[i] else reheat_cap[i]
+                heat = ahu_h + reheat
+                c = cmd[i]
+                if not abs(heat - cool - c) > 1e-9:
+                    integral[i] = integral[i] + err[i] * h
+                ta, tm = t_air[i], t_mass[i]
+                q_hvac = duct * (ahu_h - cool) + reheat
+                q_env = d_t[i] * power[i] / r_env[i]
+                q_zz = (coupled[i] - adj_rows[i] * ta) / r_zone
+                q_ma = (tm - ta) / r_mass[i]
+                gain = (base[i] + sun) + noise_k[i]
+                t_air[i] = ta + h * ((((q_hvac + gain) + q_env) + q_zz) + q_ma) / c_air[i]
+                t_mass[i] = tm - h * q_ma / c_mass[i]
+                ph = heat + fan * ahu_h
+                pc = cool / cop + fan * cool
+                if occupied:  # the ventilation fan draws on the active side
+                    v = vent[i]
+                    ph, pc = (ph + v, pc + 0.0) if c >= 0.0 else (ph + 0.0, pc + v)
+                acc_h[i] += ph
+                acc_c[i] += pc
         tau[t + 1] = t_air
-        p_heat[t] = acc_h / m
-        p_cool[t] = acc_c / m
-        if energy:
-            for q_h, q_e, g in zip(*flows.sum(axis=-1).tolist(), gains.sum(axis=-1).tolist()):
-                e_delivered += q_h * h
-                e_envelope += q_e * h
-                e_gains += g * h
-
-    sums = None
-    if energy:
-        heat1 = float(spec.c_air @ t_air + spec.c_mass @ t_mass)
-        sums = (e_delivered, e_envelope, e_gains, heat1 - heat0)
-    return _Run(tau, p_heat, p_cool, sums)
+        p_heat[t] = [a / m for a in acc_h]
+        p_cool[t] = [a / m for a in acc_c]
+    return _Run(tau, p_heat, p_cool)
 
 
 def simulate_day(spec: PlantSpec, setpoints: np.ndarray, weather: np.ndarray,
@@ -326,15 +331,9 @@ def simulate_day(spec: PlantSpec, setpoints: np.ndarray, weather: np.ndarray,
         raise PlantError(f"setpoints must have shape {(t_h + 1, z)}, got {setpoints.shape}")
 
     target = setpoints[1:]
-    run = _drive(spec, setpoints[0], weather, target, target,
-                 np.random.default_rng(seed), energy=True)
+    run = _drive(spec, setpoints[0], weather, target, target, np.random.default_rng(seed))
     p_hvac = run.p_heat + run.p_cool
-    delivered, envelope, gains, storage = run.energy
-    return SimulationTrace(run.tau, p_hvac, p_hvac.sum(axis=1), run.p_heat,
-                           run.p_cool, energy_delivered_kwh=delivered,
-                           energy_envelope_kwh=envelope,
-                           energy_gains_kwh=gains,
-                           energy_storage_kwh=storage)
+    return SimulationTrace(run.tau, p_hvac, p_hvac.sum(axis=1), run.p_heat, run.p_cool)
 
 
 class Plant:

@@ -132,22 +132,26 @@ class QpProblem:
     def validate(self) -> None:
         """Check symmetry and positive semidefiniteness of Q.
 
-        The dense eigenvalue check is O(n^3), so above ``_PSD_CHECK_LIMIT``
-        variables only diagonal Q is checked exactly; non-diagonal large Q
-        relies on the solver detecting indefiniteness.
+        Q is diagonal when every stored off-diagonal entry is zero; then
+        only its diagonal's signs are checked.  Other Q is checked for
+        symmetry and, since the dense eigenvalue check is O(n^3), for PSD
+        only up to ``_PSD_CHECK_LIMIT`` variables; larger ones rely on the
+        solver detecting indefiniteness.
         """
         if not all(np.all(np.isfinite(x)) for x in (self.q, self.b, self.h)):
             raise QpError("problem data contains non-finite values")
-        scale = max(abs(self.Q).max(), 1.0) if self.Q.nnz else 1.0
-        sym_gap = self.Q - self.Q.T
+        Q = self.Q if self.Q.has_canonical_format else self.Q.tocoo().tocsr()
+        scale = max(np.abs(Q.data).max(), 1.0) if Q.nnz else 1.0
+        rows = np.repeat(np.arange(self.num_vars), np.diff(Q.indptr))
+        if not np.any(Q.data[Q.indices != rows]):
+            if np.any(Q.diagonal() < -1e-10 * scale):
+                raise QpError("Q has a negative diagonal entry (not PSD)")
+            return
+        sym_gap = Q - Q.T
         if sym_gap.nnz and abs(sym_gap).max() > 1e-12 * scale:
             raise QpError("Q is not symmetric within 1e-12 relative tolerance")
-        offdiag = self.Q - sp.diags(self.Q.diagonal())
-        if offdiag.nnz == 0:
-            if np.any(self.Q.diagonal() < -1e-10 * scale):
-                raise QpError("Q has a negative diagonal entry (not PSD)")
-        elif self.num_vars <= _PSD_CHECK_LIMIT:
-            w = np.linalg.eigvalsh(self.Q.toarray())
+        if self.num_vars <= _PSD_CHECK_LIMIT:
+            w = np.linalg.eigvalsh(Q.toarray())
             if w.min() < -1e-10 * max(abs(w).max(), 1.0):
                 raise QpError("Q is not positive semidefinite")
 

@@ -8,6 +8,12 @@ from dflsched import plant, rc
 from dflsched.plant import PlantSpec, _solar_profile
 
 
+def assert_same_bits(a, b):
+    """Equal to the last bit, signed zeros included."""
+    np.testing.assert_array_equal(a, b)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def quiet_spec(z=1, substeps=12, noise=0.0, **overrides):
     """Single-floor plant with no gains, no solar, no noise unless asked."""
     topo = rc.default_topology(z)
@@ -101,14 +107,22 @@ class TestSimulateDay:
 
     def test_energy_sanity_cold_day(self):
         # steady cold day: delivered heat covers the envelope loss minus
-        # what storage gave up, within 5% (gains are zero here)
+        # what storage gave up, within 5% (gains are zero here).  The books
+        # are kept by the reference loop, which first must reproduce the
+        # plant's run bit for bit.
         spec = quiet_spec(z=2)
         setpoints = np.full((25, 2), 21.0)
-        trace = plant.simulate_day(spec, setpoints, np.full(24, -10.0), seed=0)
-        loss = -trace.energy_envelope_kwh  # positive on a cold day
+        weather = np.full(24, -10.0)
+        trace = plant.simulate_day(spec, setpoints, weather, seed=0)
+        ref_tau, ref_h, ref_c, energy = _ref_simulate_day(spec, setpoints, weather, seed=0)
+        assert_same_bits(trace.tau_obs, ref_tau)
+        assert_same_bits(trace.p_heat_obs, ref_h)
+        assert_same_bits(trace.p_cool_obs, ref_c)
+        delivered, envelope, _, storage = energy
+        loss = -envelope  # positive on a cold day
         assert loss > 0
-        floor = loss - (-trace.energy_storage_kwh)
-        assert trace.energy_delivered_kwh >= floor - 0.05 * loss
+        floor = loss - (-storage)
+        assert delivered >= floor - 0.05 * loss
 
     def test_saturation_is_not_an_error(self):
         # absurd setpoint: the plant saturates and keeps going
@@ -230,8 +244,8 @@ class TestWarmup:
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-substep loop that the vectorized plant loop replaced, kept
-# verbatim as the oracle for bit-identical outputs
+# reference: the elementwise numpy per-substep loop, kept verbatim as the
+# oracle for the plant loop's bit-identical outputs and its energy books
 
 
 class _RefState:
@@ -391,12 +405,25 @@ _TOPOLOGIES = {
     "z7-floors-5-2": lambda: rc.default_topology(7),
     "z15": lambda: rc.default_topology(15),
     "z6-zone-on-no-floor": _off_floor_topology,
+    # a floor of 10 zones sums its AHU demand in numpy's 8-wide order
+    "z20-floors-of-10": lambda: rc.default_topology(20, 10),
 }
 
 
+def test_floor_sum_matches_numpy_reduce():
+    rng = np.random.default_rng(21)
+    # above 128 values the sum splits into halves
+    for n in [*range(1, 41), 129, 300]:
+        for _ in range(25):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 9, size=n)
+            got = np.float64(plant._floor_sum(x.tolist(), range(n)))
+            assert got.tobytes() == np.add.reduce(x).tobytes(), n
+
+
 class TestPlantLoopMatchesReference:
-    """The vectorized time-stepping loop reproduces the per-substep loop bit
-    for bit.  The multi-day runs start on a Monday and reach the weekend."""
+    """The plant's loop, which steps zones as Python floats, reproduces the
+    per-substep numpy loop bit for bit.  The multi-day runs start on a
+    Monday and reach the weekend."""
 
     @pytest.fixture(params=sorted(_TOPOLOGIES), ids=str)
     def topology(self, request):
@@ -410,10 +437,10 @@ class TestPlantLoopMatchesReference:
         weather = np.random.default_rng(5).uniform(-15.0, 32.0, size=9 * 24)
         ds = plant.historical_rollout(spec, weather, seed=11)
         tau, p_h, p_c, tau_next = _ref_baseline_run(spec, weather, seed=11)
-        np.testing.assert_array_equal(ds.tau, tau)
-        np.testing.assert_array_equal(ds.p_h, p_h)
-        np.testing.assert_array_equal(ds.p_c, p_c)
-        np.testing.assert_array_equal(ds.tau_next, tau_next)
+        assert_same_bits(ds.tau, tau)
+        assert_same_bits(ds.p_h, p_h)
+        assert_same_bits(ds.p_c, p_c)
+        assert_same_bits(ds.tau_next, tau_next)
 
     # one day is the scenario warm-up, a Monday; six days end on a Saturday
     @pytest.mark.parametrize("days", [1, 6])
@@ -421,7 +448,7 @@ class TestPlantLoopMatchesReference:
         weather = np.random.default_rng(6).uniform(-10.0, 30.0, size=days * 24)
         got = plant.warmup_initial_tau(spec, weather, seed=3)
         _, _, _, tau_next = _ref_baseline_run(spec, weather, seed=3)
-        np.testing.assert_array_equal(got, tau_next[-1])
+        assert_same_bits(got, tau_next[-1])
 
     @pytest.mark.parametrize("case", ["tracking", "saturating"])
     def test_simulate_day(self, spec, case):
@@ -442,14 +469,12 @@ class TestPlantLoopMatchesReference:
             first = spec.kp * (setpoints[1] - setpoints[0])
             assert all(first[list(members)].sum() > rating for members, rating
                        in zip(spec.topology.floors, spec.ahu_heat_rating))
-        ref_tau, ref_h, ref_c, ref_energy = _ref_simulate_day(spec, setpoints, weather, seed=9)
+        ref_tau, ref_h, ref_c, _ = _ref_simulate_day(spec, setpoints, weather, seed=9)
         trace = plant.simulate_day(spec, setpoints, weather, seed=9)
-        np.testing.assert_array_equal(trace.tau_obs, ref_tau)
-        np.testing.assert_array_equal(trace.p_heat_obs, ref_h)
-        np.testing.assert_array_equal(trace.p_cool_obs, ref_c)
-        np.testing.assert_array_equal(trace.p_hvac_obs, ref_h + ref_c)
-        assert (trace.energy_delivered_kwh, trace.energy_envelope_kwh,
-                trace.energy_gains_kwh, trace.energy_storage_kwh) == ref_energy
+        assert_same_bits(trace.tau_obs, ref_tau)
+        assert_same_bits(trace.p_heat_obs, ref_h)
+        assert_same_bits(trace.p_cool_obs, ref_c)
+        assert_same_bits(trace.p_hvac_obs, ref_h + ref_c)
 
     def test_zone_on_no_floor_gets_no_hvac(self):
         # no ventilation fan, which draws in occupied hours on or off a floor

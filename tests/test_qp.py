@@ -650,10 +650,48 @@ class TestSlotGradients:
 class TestValidate:
     def test_asymmetric_q_rejected(self):
         p = qp.QpProblem(2, [[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
-        with pytest.raises(qp.QpError):
+        with pytest.raises(qp.QpError, match="not symmetric"):
             p.validate()
 
     def test_indefinite_q_rejected(self):
+        # diagonal, with a negative entry
         p = qp.QpProblem(2, [[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
-        with pytest.raises(qp.QpError):
+        with pytest.raises(qp.QpError, match="negative diagonal entry"):
+            p.validate()
+
+    def test_nondiagonal_indefinite_q_rejected(self):
+        # symmetric with a positive diagonal, eigenvalues 3 and -1
+        p = qp.QpProblem(2, [[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0])
+        with pytest.raises(qp.QpError, match="not positive semidefinite"):
+            p.validate()
+
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_stored_offdiagonal_zeros_count_as_diagonal(self, n):
+        # each row stores a zero beside its diagonal entry; above the dense
+        # PSD limit only the diagonal check can catch the negative entry
+        import scipy.sparse as sp
+        rows = np.repeat(np.arange(n), 2)
+        cols = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1).ravel()
+        Q = sp.csr_matrix((np.tile([1.0, 0.0], n), (rows, cols)), shape=(n, n))
+        assert Q.nnz == 2 * n
+        qp.QpProblem(n, Q, np.zeros(n)).validate()
+        Q.data[Q.indices == rows] = np.where(np.arange(n) == n - 1, -1.0, 1.0)
+        p = qp.QpProblem(n, Q, np.zeros(n))
+        assert p.Q.nnz == 2 * n
+        with pytest.raises(qp.QpError, match="negative diagonal entry"):
+            p.validate()
+
+    def test_cancelling_duplicate_entries_count_as_diagonal(self):
+        # CSR data may store an off-diagonal entry twice; entries that cancel
+        # leave Q diagonal, so the negative entry is caught above the limit
+        import scipy.sparse as sp
+        n = 300
+        nxt = (np.arange(n) + 1) % n
+        indices = np.stack([np.arange(n), nxt, nxt], axis=1).ravel()
+        data = np.tile([1.0, 0.5, -0.5], n)
+        data[-3] = -1.0
+        Q = sp.csr_matrix((data, indices, np.arange(0, 3 * n + 1, 3)), shape=(n, n))
+        p = qp.QpProblem(n, Q, np.zeros(n))
+        assert not p.Q.has_canonical_format
+        with pytest.raises(qp.QpError, match="negative diagonal entry"):
             p.validate()
