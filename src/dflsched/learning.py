@@ -323,6 +323,7 @@ class TrainingLog:
     best_epoch: int = -1
     skipped_samples: int = 0
     val_dropped: list[int] = field(default_factory=list)  # per epoch
+    skipped_steps: int = 0  # Adam steps skipped on a non-finite gradient
 
     def rows(self, split: str | None = None) -> list[EpochRecord]:
         return [r for r in self.records if split is None or r.split == split]
@@ -341,6 +342,7 @@ class TrainingLog:
             "snr", "beta1", "beta2", "eps", "seed")},
             "best_epoch": self.best_epoch,
             "skipped_samples": self.skipped_samples,
+            "skipped_steps": self.skipped_steps,
             "val_dropped": self.val_dropped}
         if extra:
             doc.update(extra)
@@ -353,16 +355,18 @@ def _sample_seed(base: int, tag: int, index: int) -> int:
 
 def evaluate_scenarios(theta: ThetaParams, scenarios: list[DayScenario],
                        plant, tariff: Tariff, config: ScheduleConfig,
-                       base_seed: int):
-    """Solve and simulate each scenario.  Returns the (scenario, result,
-    trace) triples that solved and a dict from the index of each scenario
-    whose QP failed to its ScheduleError; raises RuntimeError when none
-    solved.  Callers decide how to report a drop."""
+                       base_seed: int, template: scheduler.ScheduleTemplate | None = None):
+    """Solve and simulate each scenario, on ``template`` or on one template
+    built for this call.  Returns the (scenario, result, trace) triples
+    that solved and a dict from the index of each scenario whose QP failed
+    to its ScheduleError; raises RuntimeError when none solved.  Callers
+    decide how to report a drop."""
     pairs, failed = [], {}
+    template = template or scheduler.schedule_template(tariff, config)
     for i, scen in enumerate(scenarios):
         seed = _sample_seed(base_seed, 0, scen.day_index if scen.day_index >= 0 else i)
         try:
-            result = scheduler.solve_schedule(theta, scen, tariff, config)
+            result = scheduler.solve_schedule(theta, scen, tariff, config, template=template)
         except ScheduleError as exc:
             failed[i] = exc
             continue
@@ -409,7 +413,8 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
     renormalize over the survivors; ``TrainingLog.val_dropped`` counts the
     drops of each epoch.  An epoch with drops is scored over a different
     subset, so it never becomes the best epoch (with none left, the initial
-    parameters are returned); it still counts toward the patience.
+    parameters are returned); it still counts toward the patience.  A
+    non-finite gradient skips its Adam step (``TrainingLog.skipped_steps``).
     """
     topo = schedule_config.topology
     z = theta_init.num_zones
@@ -425,6 +430,7 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
 
     lr_scale = np.ones_like(state.params)
     lr_scale[:z * z] = config.alpha_lr_scale
+    template = scheduler.schedule_template(tariff, schedule_config)
 
     for epoch in range(config.max_epochs):
         lr_t = config.lr_at(epoch) * lr_scale
@@ -433,7 +439,8 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
         for i, scen in enumerate(train_scenarios):
             seed = _sample_seed(config.seed, 1 + epoch, i)
             try:
-                result = scheduler.solve_schedule(theta, scen, tariff, schedule_config)
+                result = scheduler.solve_schedule(theta, scen, tariff, schedule_config,
+                                                  template=template)
             except ScheduleError as exc:
                 failures += 1
                 training_log.skipped_samples += 1
@@ -446,13 +453,14 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
                                               tariff, topo)
             grad_primal = np.zeros(result.index.num_vars)
             grad_primal[result.index.p_hvac] = gmat
-            sens = qp.backward(result.problem, result.solution, grad_primal)
-            cmap = scheduler.coefficient_map(theta, scen, schedule_config)
+            sens = qp.backward(result.problem, result.solution, grad_primal, template.kkt)
+            cmap = scheduler.coefficient_map(theta, scen, schedule_config, template)
             grad_theta = qp.backward_through_map(sens, cmap)
 
             state = adam_step(state, grad_theta, lr_t, config.beta1,
                               config.beta2, config.eps)
             theta = rc.unpack(state.params, z)
+            training_log.skipped_steps = state.skipped
 
         if failures == len(train_scenarios):
             raise RuntimeError(f"every scenario failed to solve in epoch {epoch}")
@@ -462,7 +470,7 @@ def dfl_train(theta_init: ThetaParams, train_scenarios: list[DayScenario],
             training_log.records.append(EpochRecord(epoch, "train", **stats))
 
         val_pairs, dropped = evaluate_scenarios(theta, val_scenarios, plant, tariff,
-                                                schedule_config, config.seed)
+                                                schedule_config, config.seed, template)
         for i, exc in dropped.items():
             log.warning("evaluation scenario %d skipped: %s", i, exc)
         training_log.val_dropped.append(len(dropped))

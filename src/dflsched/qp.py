@@ -7,23 +7,17 @@ Problems have the canonical form
          Gu <= h         (inequality block, duals mu >= 0)
 
 ``solve`` runs a Mehrotra predictor-corrector primal-dual interior-point
-method; robust duals are needed downstream, which rules out active-set
-methods with sloppy multiplier recovery.  ``backward`` solves one adjoint
-system on the active-set-reduced KKT Jacobian for a loss gradient with
-respect to the primal solution, and returns that adjoint with the point it
-was taken at.  Its ``at`` gives the gradient of any data entries (Q, q, A,
-b, G, h) without forming a dense block; ``backward_through_map`` gathers
-it at a coefficient map's slots.  There is no presolve: the start, the
-iterations, the polish and the adjoint all work on the caller's problem as
-posed, so a singleton row (an initial condition) keeps its variable and dual.
+method (robust duals are needed downstream).  ``backward`` solves one
+adjoint system on the active-set-reduced KKT Jacobian; its ``at`` gives the
+loss gradient of any data entries, and ``backward_through_map`` gathers it
+at a coefficient map's slots.  There is no presolve: a singleton row keeps
+its variable and dual.
 
-Every matrix is one KKT pattern [[H, C'], [C, 0]] from ``_kkt_matrix``, a CSC
-matrix with its diagonal stored: the Newton matrix (``_NewtonKkt``, values
-refreshed per iteration, columns ordered once per solve), and the one-shot
-systems that ``_solve_kkt`` shifts, factors and refines (the least-norm
-start, which certifies inconsistent equalities, problems without
-inequalities, the active-set polish, warm-started from the interior-point
-iterate, and the adjoint).  Every factorization goes through ``_splu``.
+The KKT matrices (the Newton matrix, and the least-norm start, polish,
+equality-only and adjoint systems that ``_solve_kkt`` shifts, factors and
+refines) come from a ``_OneShotKkt`` that ``solve`` and ``backward`` build
+per call, or from a caller's ``KktStructure``, which builds every pattern
+once for many problems.
 """
 from __future__ import annotations
 
@@ -130,15 +124,14 @@ class QpProblem:
         return self.G.shape[0]
 
     def validate(self) -> None:
-        """Check symmetry and positive semidefiniteness of Q.
+        """Check that every entry is finite and that Q is symmetric PSD.
 
-        Q is diagonal when every stored off-diagonal entry is zero; then
-        only its diagonal's signs are checked.  Other Q is checked for
-        symmetry and, since the dense eigenvalue check is O(n^3), for PSD
-        only up to ``_PSD_CHECK_LIMIT`` variables; larger ones rely on the
-        solver detecting indefiniteness.
+        A Q whose stored off-diagonal entries are all zero has only its
+        diagonal's signs checked.  The dense eigenvalue check is O(n^3), so
+        above ``_PSD_CHECK_LIMIT`` variables the solver detects indefiniteness.
         """
-        if not all(np.all(np.isfinite(x)) for x in (self.q, self.b, self.h)):
+        if not all(np.all(np.isfinite(x)) for x in (
+                self.q, self.b, self.h, self.Q.data, self.A.data, self.G.data)):
             raise QpError("problem data contains non-finite values")
         Q = self.Q if self.Q.has_canonical_format else self.Q.tocoo().tocsr()
         scale = max(np.abs(Q.data).max(), 1.0) if Q.nnz else 1.0
@@ -166,9 +159,9 @@ class QpSolution:
     ``iterations`` counts the interior-point iterates examined, the start
     included: the solve took one Newton step fewer, unless ``max_iter``
     ended it.  ``polish_rounds`` counts the rounds of the polish that gave
-    the returned point.  That is the try that ended the solve early, or
-    the polish after the last iteration.  Earlier tries that did not pass
-    OPTIMAL's test are not counted.
+    the returned point (the try that ended the solve early, or the polish
+    after the last iteration).  ``factorizations`` counts the SuperLU
+    factorizations of the whole solve.
     """
 
     primal: np.ndarray
@@ -179,6 +172,7 @@ class QpSolution:
     kkt_residual: float
     iterations: int = 0
     polish_rounds: int = 0
+    factorizations: int = 0
 
 
 @dataclass(frozen=True)
@@ -287,111 +281,208 @@ def _residual_norm(stat: np.ndarray, r_p: np.ndarray, gap: np.ndarray,
 # interior-point solver
 
 
-class _NewtonKkt:
-    """The interior-point Newton matrix
-
-        [[Q + G'diag(D)G + r I,  A'  ],
-         [A,                    -r I ]]     (r = _IPM_REG)
-
-    with its pattern built once per solve by ``_kkt_matrix``.  Every entry is
-    the static part (Q, A, A' and the signed regularization) plus a linear
-    map of the scaling D: row k of G adds G[k,i] G[k,j] D[k] to (i, j).  Each
-    iteration refreshes only the values of one CSC matrix.
-
-    The pattern never changes within a solve, so it is ordered once: the
-    first ``factor`` orders the columns by COLAMD and stores the pattern in
-    that order, and every later one factors it as stored.
+class _OneShotKkt:
+    """The KKT matrices of one solve or backward at the problem's values,
+    each built when it is needed; ``factorizations`` counts SuperLU
+    factorizations.  The Newton matrix [[Q + G'diag(D)G + r I, A'],
+    [A, -r I]] (r = _IPM_REG) is a static part plus a linear map of the
+    scaling D (row k of G adds G[k,i] G[k,j] D[k] to (i, j)), stored with its
+    columns in the order it is factored in: COLAMD's at the first Newton
+    step, as for every one-shot system.
     """
 
-    def __init__(self, Q: sp.csr_matrix, A: sp.csr_matrix, G: sp.csr_matrix):
-        n, m_in = Q.shape[0], G.shape[0]
+    def __init__(self):
+        self.factorizations = 0
+
+    def _splu(self, K: sp.csc_matrix, permc_spec: str = "COLAMD") -> spla.SuperLU:
+        """SuperLU factors of K; every factorization in this module comes
+        from here.  Of the (panel_size, relax) pairs swept, (1, 1) factored
+        the scheduling QPs' KKT matrices fastest, or within noise of it."""
+        self.factorizations += 1
+        return spla.splu(K, permc_spec=permc_spec, panel_size=1, relax=1)
+
+    def _colamd(self, K: sp.csc_matrix):
+        return self._splu(K).solve
+
+    def start(self, p: QpProblem) -> tuple:
+        """The least-norm start's [[I, A'], [A, 0]] at p's values, as
+        ``_solve_kkt``'s first four arguments."""
+        K, diag, _, _ = _kkt_matrix(sp.identity(p.num_vars, format="csr"), p.A, p.G)
+        return K, diag, p.num_vars, self._colamd
+
+    def bordered(self, p: QpProblem):
+        """rows -> [[Q, A', G_S'], [A, 0, 0], [G_S, 0, 0]] at p's values for
+        the inequality rows S = ``rows`` (increasing), as ``_solve_kkt``'s
+        first four arguments."""
+        return lambda rows: (*_kkt_matrix(p.Q, p.A, p.G, rows)[:2], p.num_vars, self._colamd)
+
+    def newton(self, p: QpProblem) -> "_OneShotKkt":
+        """Set the Newton matrix to p's values; returns self."""
+        self._newton_parts(p.Q, p.A, p.G)
+        return self
+
+    def _newton_parts(self, Q: sp.csr_matrix, A: sp.csr_matrix, G: sp.csr_matrix) -> np.ndarray:
+        """Build the Newton matrix's pattern, static part and scaling map, in
+        natural column order; returns the data indices of its diagonal."""
         # every (a, b) pair of stored entries within one row of G, row-major
         counts = np.diff(G.indptr)
         pairs = counts ** 2
-        g_row = np.repeat(np.arange(m_in), pairs)
+        g_row = np.repeat(np.arange(G.shape[0]), pairs)
         k = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-        width = counts[g_row]
-        ea = G.indptr[g_row] + k // width
-        eb = G.indptr[g_row] + k % width
-
-        self._K, diag, pair = _kkt_matrix(Q, A, G, extra=(G.indices[ea], G.indices[eb]))
-        self._static = self._K.data.copy()
-        self._static[diag] += np.where(np.arange(len(diag)) < n, _IPM_REG, -_IPM_REG)
-        self._scaling = sp.csr_matrix((G.data[ea] * G.data[eb], (pair, g_row)),
-                                      shape=(self._K.nnz, m_in))
+        ea = G.indptr[g_row] + k // counts[g_row]
+        eb = G.indptr[g_row] + k % counts[g_row]
+        self._K, diag, pair, self._fill = _kkt_matrix(Q, A, G, extra=(G.indices[ea], G.indices[eb]))
+        nnz = self._K.nnz
+        self._reg = np.zeros(nnz)
+        self._reg[diag] = np.where(np.arange(len(diag)) < Q.shape[0], _IPM_REG, -_IPM_REG)
+        self._static = self._K.data + self._reg
+        # the scaling map: row j gives the D-linear part of stored entry j
+        by_entry = np.argsort(pair, kind="stable")
+        self._ea, self._eb = ea[by_entry], eb[by_entry]
+        self._scaling = sp.csr_matrix((G.data[self._ea] * G.data[self._eb], g_row[by_entry],
+                                       _indptr(np.bincount(pair, minlength=nnz))),
+                                      shape=(nnz, G.shape[0]))
         self._order = None  # column j of the stored matrix is column _order[j]
+        return diag
 
-    def matrix(self, D: np.ndarray) -> sp.csc_matrix:
+    def newton_matrix(self, D: np.ndarray) -> sp.csc_matrix:
         """The Newton matrix at scaling D with its columns in the stored
         order (the same object, values refreshed)."""
         self._K.data[:] = self._static + self._scaling @ D
         return self._K
 
-    def factor(self, D: np.ndarray):
+    def newton_factor(self, D: np.ndarray):
         """The solution map r -> K(D)^-1 r of the Newton matrix at scaling D."""
-        K = self.matrix(D)
+        K = self.newton_matrix(D)
         if self._order is None:
-            lu = _splu(K)
+            lu = self._splu(K)
             # SuperLU factors K Pc with Pc[i, perm_c[i]] = 1: column j of
             # K Pc is column argsort(perm_c)[j] of K
             self._store_in_order(np.argsort(lu.perm_c))
             return lu.solve
-        lu, order = _splu(K, "NATURAL"), self._order
+        return _in_order(self._splu(K, "NATURAL"), self._order)
 
-        def solve(rhs):
-            x = np.empty_like(rhs)
-            x[order] = lu.solve(rhs)
-            return x
-        return solve
-
-    def _store_in_order(self, order: np.ndarray) -> None:
+    def _store_in_order(self, order: np.ndarray) -> tuple:
+        """Store the Newton matrix with its columns in ``order``; returns
+        where its entries and the scaling map's came from."""
         K, S = self._K, self._scaling
         counts, at = _segments(K.indptr, order)
         self._K = sp.csc_matrix((K.data[at], K.indices[at], _indptr(counts)), shape=K.shape)
-        self._K.has_canonical_format = True
         self._static = self._static[at]
         counts, s_at = _segments(S.indptr, at)
         self._scaling = sp.csr_matrix((S.data[s_at], S.indices[s_at], _indptr(counts)),
                                       shape=S.shape)
         self._order = order
+        return at, s_at
 
 
-def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> QpSolution:
+class KktStructure(_OneShotKkt):
+    """The KKT matrices of every problem whose Q, A and G store their entries
+    where the ones given here do.  Each pattern is built once, with a map from
+    Q, A and G's data to its own; the polish and adjoint matrices are rows
+    and columns of one bordered [[Q, A', G'], [A, 0, 0], [G, 0, 0]].  The
+    start and the Newton matrix are factored with NATURAL in column orders
+    derived here from their patterns, so no solve's bits depend on the
+    solves before it.
+    """
+
+    def __init__(self, Q: sp.csr_matrix, A: sp.csr_matrix, G: sp.csr_matrix):
+        super().__init__()
+        self._patterns, self._eye = (Q, A, G), sp.identity(Q.shape[0], format="csr")
+        K, diag, _, fill = _kkt_matrix(self._eye, A, G)
+        order = self._pattern_order(K, diag)
+        self._start = (K, diag, fill, order, *_segments(K.indptr, order))
+        self._bordered = _kkt_matrix(Q, A, G, np.arange(G.shape[0]))
+        diag = self._newton_parts(Q, A, G)
+        # stored Newton entry j is entry _at[j] of _fill's data
+        self._at, s_at = self._store_in_order(self._pattern_order(self._K, diag))
+        self._reg, self._ea, self._eb = self._reg[self._at], self._ea[s_at], self._eb[s_at]
+
+    def check(self, p: QpProblem) -> None:
+        for M, P in zip(self._patterns, (p.Q, p.A, p.G)):
+            if M.shape != P.shape or not (np.array_equal(M.indptr, P.indptr)
+                                          and np.array_equal(M.indices, P.indices)):
+                raise QpError("problem's sparsity pattern differs from the KKT structure's")
+
+    def _pattern_order(self, K: sp.csc_matrix, diag: np.ndarray) -> np.ndarray:
+        """K's COLAMD column order, as argsort(perm_c).  SuperLU orders from
+        the pattern alone, so a unit diagonal gives what any values would."""
+        unit = sp.csc_matrix((np.zeros(K.nnz), K.indices, K.indptr), shape=K.shape)
+        unit.data[diag] = 1.0
+        return np.argsort(self._splu(unit).perm_c)
+
+    def start(self, p: QpProblem) -> tuple:
+        K, diag, fill, order, counts, at = self._start
+        K.data[:] = fill(self._eye, p.A, p.G)
+        return K, diag, p.num_vars, lambda M: _in_order(self._splu(sp.csc_matrix(
+            (M.data[at], M.indices[at], _indptr(counts)), shape=M.shape), "NATURAL"), order)
+
+    def bordered(self, p: QpProblem):
+        B, data, m = self._bordered[0], self._bordered[3](p.Q, p.A, p.G), p.num_vars + p.num_eq
+        return lambda rows: (*_principal(B, data, np.concatenate([np.arange(m), m + rows])),
+                             p.num_vars, self._colamd)
+
+    def newton(self, p: QpProblem) -> "KktStructure":
+        self._static = self._fill(p.Q, p.A, p.G)[self._at] + self._reg
+        self._scaling.data = p.G.data[self._ea] * p.G.data[self._eb]
+        return self
+
+
+def _in_order(lu: spla.SuperLU, order: np.ndarray):
+    """The solution map of a matrix factored (``lu``) with its columns
+    stored in ``order``: stored column j is column order[j]."""
+    def solve(rhs):
+        x = np.empty_like(rhs)
+        x[order] = lu.solve(rhs)
+        return x
+    return solve
+
+
+def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50,
+          structure: KktStructure | None = None) -> QpSolution:
     """Solve the QP with a Mehrotra predictor-corrector interior-point method.
 
     When the returned status is OPTIMAL the solution's ``kkt_residual`` is at
-    most ``tolerance``.  Every step works on ``problem`` as posed: singleton
-    and empty equality rows are ordinary rows.  Inconsistent equalities are
-    certified INFEASIBLE by the least-norm start, at every problem size;
-    problems without inequalities are certified UNBOUNDED by their KKT solve.
-    Otherwise INFEASIBLE and UNBOUNDED are detected from iterate divergence.
+    most ``tolerance``.  Inconsistent equalities are certified INFEASIBLE by
+    the least-norm start, and problems without inequalities UNBOUNDED by
+    their KKT solve; otherwise both are detected from iterate divergence.
 
     Once the KKT residual is below _POLISH_FROM, the active-set polish is
-    tried from the iterate, and tried again after each further fall by
-    _POLISH_RETRY.  The solve returns the first polished point that passes
-    OPTIMAL's test.  Otherwise it iterates to ``tolerance`` and polishes the
-    best iterate.
+    tried from the iterate, and again after each further fall by
+    _POLISH_RETRY; the first polished point that passes OPTIMAL's test ends
+    the solve, or else the best iterate is polished.  The KKT matrices come
+    from ``structure`` (a KktStructure) if one is given.
     """
     if tolerance <= 0:
         raise QpError("tolerance must be positive")
     problem.validate()
+    structure = _structure_for(problem, structure)
+    before = structure.factorizations
+    u, y, mu, status, iters, rounds = _ipm(problem, tolerance, max_iter, structure)
+    sol = QpSolution(u, y, mu, problem.objective(u), status, 0.0, iters, rounds,
+                     structure.factorizations - before)
+    res = kkt_residual(problem, sol)
+    if status == QpStatus.OPTIMAL and res > tolerance * 10:
+        status = QpStatus.MAX_ITER
+    return replace(sol, status=status, kkt_residual=res)
 
+
+def _ipm(problem: QpProblem, tolerance: float, max_iter: int, structure: _OneShotKkt):
+    """``solve``'s point, status, iterations and polish rounds."""
     n, m_eq, m_in = problem.num_vars, problem.num_eq, problem.num_in
     try:
-        u = _least_norm_start(problem, tolerance)
+        u = _least_norm_start(problem, tolerance, structure)
     except SingularKktError:  # inconsistent equalities
-        return _finish(problem, np.zeros(n), np.zeros(m_eq), np.zeros(m_in),
-                       QpStatus.INFEASIBLE, 0, tolerance)
-    if n == 0:  # nothing to optimize: _finish grades the empty point against h
-        return _finish(problem, u, np.zeros(m_eq), np.zeros(m_in),
-                       QpStatus.OPTIMAL, 0, tolerance)
+        return np.zeros(n), np.zeros(m_eq), np.zeros(m_in), QpStatus.INFEASIBLE, 0, 0
+    if n == 0:  # nothing to optimize: solve grades the empty point against h
+        return u, np.zeros(m_eq), np.zeros(m_in), QpStatus.OPTIMAL, 0, 0
     if m_in == 0:
-        u, y, status, iters = _solve_equality_qp(problem, tolerance)
-        return _finish(problem, u, y, np.zeros(0), status, iters, tolerance)
+        u, y, status, iters = _solve_equality_qp(problem, tolerance, structure)
+        return u, y, np.zeros(0), status, iters, 0
 
     Q, q, A, b, G, h = problem.Q, problem.q, problem.A, problem.b, problem.G, problem.h
     AT, GT = A.T, G.T
-    kkt = _NewtonKkt(Q, A, G)
+    kkt = structure.newton(problem)
 
     y = np.zeros(m_eq)
     gap = h - G @ u
@@ -422,9 +513,9 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
             # near the optimum the iterate marks the active set: finish here
             # if the polished point passes OPTIMAL's test, else go on
             polish_below = _POLISH_RETRY * res
-            pu, py, pz, p_res, rounds = _polish(problem, u, y, z, res)
+            pu, py, pz, p_res, rounds = _polish(problem, u, y, z, res, structure)
             if p_res <= tolerance:
-                return _finish(problem, pu, py, pz, QpStatus.OPTIMAL, it, tolerance, rounds)
+                return pu, py, pz, QpStatus.OPTIMAL, it, rounds
         # central path numerically exhausted: pushing mu further only
         # degrades the dual residual through the 1/s scaling
         if mu_gap <= 1e-3 * tolerance:
@@ -443,7 +534,7 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
         s_safe = np.maximum(s, 1e-300)
         D = np.minimum(z / s_safe, 1e16)
         try:
-            newton_solve = kkt.factor(D)
+            newton_solve = kkt.newton_factor(D)
         except RuntimeError:
             break  # leaves MAX_ITER with the current iterate
 
@@ -472,29 +563,36 @@ def solve(problem: QpProblem, tolerance: float = 1e-8, max_iter: int = 50) -> Qp
     rounds = 0
     if status in (QpStatus.OPTIMAL, QpStatus.MAX_ITER) and best_res < np.inf:
         u, y, z = best
-        u, y, z, best_res, rounds = _polish(problem, u, y, z, best_res)
+        u, y, z, best_res, rounds = _polish(problem, u, y, z, best_res, structure)
         if best_res <= tolerance:
             status = QpStatus.OPTIMAL
     mu = z if status != QpStatus.INFEASIBLE else np.zeros(m_in)
-    return _finish(problem, u, y, mu, status, it, tolerance, rounds)
+    return u, y, mu, status, it, rounds
 
 
-def _polish(p: QpProblem, u, y, z, res):
+def _structure_for(problem: QpProblem, structure: KktStructure | None) -> _OneShotKkt:
+    if structure is None:
+        return _OneShotKkt()
+    structure.check(problem)
+    return structure
+
+
+def _polish(p: QpProblem, u, y, z, res, structure: _OneShotKkt):
     """Active-set cleanup of the interior-point iterate.
 
     Solves the equality-constrained KKT system on the constraints the
-    iterate marks active, refined from the iterate (u, y, z[rows]).  When
-    those rows are dependent (a floor cap binding with all its zone caps),
-    the multipliers keep the interior point's positive split, so one round
-    usually suffices; otherwise the set changes (drop negative-dual rows,
-    add violated rows) for up to 12 rounds, and stops when a set comes back:
-    a round depends only on its set, so the rounds after would repeat.
-    Returns the best candidate by KKT residual, or the incoming iterate, and
-    the number of rounds.
+    iterate marks active, refined from the iterate (u, y, z[rows]); with
+    dependent rows (a floor cap binding with all its zone caps) the
+    multipliers keep the interior point's positive split.  Otherwise the set
+    changes (drop negative-dual rows, add violated rows) for up to 12
+    rounds, stopping when a set comes back (the rounds after would repeat).
+    Returns the best candidate by KKT residual, or the iterate, and the
+    number of rounds.
     """
     n, m_eq = p.num_vars, p.num_eq
     slack = p.h - p.G @ u
     act = frozenset(np.flatnonzero(z > np.maximum(slack, 1e-12)).tolist())
+    system = structure.bordered(p)
     best = (u, y, z, res)
     seen = set()
     for rounds in range(1, 13):
@@ -502,8 +600,7 @@ def _polish(p: QpProblem, u, y, z, res):
         rows = np.array(sorted(act), dtype=int)
         rhs = np.concatenate([-p.q, p.b, p.h[rows]])
         try:
-            sol = _solve_kkt(p.Q, p.A, p.G, rhs, rows,
-                             np.concatenate([u, y, z[rows]]))
+            sol = _solve_kkt(*system(rows), rhs, np.concatenate([u, y, z[rows]]))
         except SingularKktError:
             # dependent actives with inconsistent right-hand sides (a floor
             # cap plus every one of its zone caps): prune the weakest active
@@ -531,34 +628,32 @@ def _step_length(s, ds, z, dz) -> float:
     return float(min([1.0, *(r.min() for r in ratios if r.size)]))
 
 
-def _least_norm_start(p: QpProblem, tolerance: float) -> np.ndarray:
+def _least_norm_start(p: QpProblem, tolerance: float, structure: _OneShotKkt) -> np.ndarray:
     """The least-norm solution of Au = b.  Raises SingularKktError when the
-    equalities are inconsistent: the KKT solve fails, or the start leaves
-    |Au - b|_inf above ``tolerance * max(1, |b|_inf)``.  Consistent systems
-    leave round-off that grows with |b| (at most 5e-16 |b|_inf on scheduler
-    and random small systems), hence the relative factor, many orders below
-    any tolerance; a contradiction e between two copies of a row leaves e/2,
-    which no point improves on, so it is certified here instead of after the
-    whole interior-point run ends in MAX_ITER.
+    equalities are inconsistent: the KKT solve fails, or leaves |Au - b|_inf
+    above ``tolerance * max(1, |b|_inf)`` (round-off grows with |b|, to at
+    most 5e-16 |b|_inf on scheduler and random small systems; a
+    contradiction e between two copies of a row leaves e/2, certified here
+    rather than by an interior-point run ending in MAX_ITER).
     """
     n = p.num_vars
     if p.num_eq == 0:
         return np.zeros(n)
     rhs = np.concatenate([np.zeros(n), p.b])
-    u = _solve_kkt(sp.identity(n, format="csr"), p.A, p.G, rhs)[:n]
+    u = _solve_kkt(*structure.start(p), rhs)[:n]
     if np.abs(p.A @ u - p.b).max() > tolerance * max(1.0, np.abs(p.b).max()):
         raise SingularKktError("equality constraints are inconsistent")
     return u
 
 
-def _solve_equality_qp(p: QpProblem, tolerance: float):
+def _solve_equality_qp(p: QpProblem, tolerance: float, structure: _OneShotKkt):
     """Direct KKT solve for problems without inequalities, whose equalities
     the least-norm start has found consistent."""
     n, m = p.num_vars, p.num_eq
     scale = max(1.0, float(np.abs(p.q).max()),
                 float(np.abs(p.b).max()) if m else 0.0)
     try:
-        sol = _solve_kkt(p.Q, p.A, p.G, np.concatenate([-p.q, p.b]))
+        sol = _solve_kkt(*structure.bordered(p)(_NO_ENTRIES), np.concatenate([-p.q, p.b]))
     except SingularKktError:
         # consistent equalities and no KKT point: a descent ray exists
         return np.zeros(n), np.zeros(m), QpStatus.UNBOUNDED, 1
@@ -569,21 +664,12 @@ def _solve_equality_qp(p: QpProblem, tolerance: float):
     return u, y, QpStatus.OPTIMAL if ok else QpStatus.MAX_ITER, 1
 
 
-def _finish(problem: QpProblem, u, y, mu, status, iters, tolerance,
-            polish_rounds=0) -> QpSolution:
-    sol = QpSolution(u, y, mu, problem.objective(u), status, 0.0, iters, polish_rounds)
-    res = kkt_residual(problem, sol)
-    if status == QpStatus.OPTIMAL and res > tolerance * 10:
-        status = QpStatus.MAX_ITER
-    return replace(sol, status=status, kkt_residual=res)
-
-
 # ---------------------------------------------------------------------------
 # implicit differentiation
 
 
-def backward(problem: QpProblem, solution: QpSolution,
-             grad_primal: np.ndarray) -> SolutionSensitivity:
+def backward(problem: QpProblem, solution: QpSolution, grad_primal: np.ndarray,
+             structure: KktStructure | None = None) -> SolutionSensitivity:
     """Vector-Jacobian products of the solution map at an optimal point.
 
     Solves one adjoint system on the active-set-reduced KKT Jacobian with
@@ -591,10 +677,12 @@ def backward(problem: QpProblem, solution: QpSolution,
     ``at`` then satisfies, to first order, dL = <grad_X, dX> for any data
     perturbation dX.  Inequalities with dual below DEGENERACY_THRESHOLD are
     treated as inactive; if their slack is also below the threshold a
-    DegenerateActiveSetWarning is issued.
+    DegenerateActiveSetWarning is issued.  The adjoint matrix comes from
+    ``structure``, or from one built for this call.
     """
     if solution.status != QpStatus.OPTIMAL:
         raise QpError("backward requires an OPTIMAL solution")
+    system = _structure_for(problem, structure).bordered(problem)
     grad_primal = _vec(grad_primal)
     n, m_eq = problem.num_vars, problem.num_eq
     if grad_primal.shape != (n,):
@@ -617,9 +705,7 @@ def backward(problem: QpProblem, solution: QpSolution,
             stacklevel=2,
         )
     act = np.flatnonzero(active)
-
-    v = _solve_kkt(problem.Q, problem.A, problem.G,
-                   np.concatenate([grad_primal, np.zeros(m_eq + len(act))]), act)
+    v = _solve_kkt(*system(act), np.concatenate([grad_primal, np.zeros(m_eq + len(act))]))
     mu, v_mu = np.zeros(len(dual_in)), np.zeros(len(dual_in))
     mu[act] = dual_in[act]
     v_mu[act] = v[n + m_eq:]
@@ -638,69 +724,81 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
 
 
 def _entries(M: sp.csr_matrix, rows) -> tuple:
-    """Row, column and value of each stored entry in rows ``rows`` of the
-    CSR matrix M, the rows numbered from 0 in the order given."""
+    """Row, column and data index of each stored entry in rows ``rows`` of
+    the CSR matrix M, the rows numbered from 0 in the order given."""
     counts, at = _segments(M.indptr, rows)
-    return np.repeat(np.arange(len(counts)), counts), M.indices[at], M.data[at]
+    return np.repeat(np.arange(len(counts)), counts), M.indices[at], at
 
 
 def _kkt_matrix(H, A, G, active=_NO_ENTRIES, extra=(_NO_ENTRIES, _NO_ENTRIES)):
-    """The matrix [[H, C'], [C, 0]] with C = [A; G[active]] (H, A, G in CSR)
-    as a CSC matrix with sorted indices and every diagonal entry stored, plus
-    stored zeros at the ``extra`` (rows, cols).  Also returns the data
-    indices of the diagonal and of each extra entry, for in-place updates.
-    """
+    """[[H, C'], [C, 0]] with C = [A; G[active]] (H, A, G in CSR) as a CSC
+    matrix with sorted indices, every diagonal entry stored and stored zeros
+    at the ``extra`` (rows, cols); the data indices of its diagonal and of
+    each extra entry; and ``fill``, which gives its data for any H, A and G
+    that store their entries where these do."""
     n, m_eq = H.shape[0], A.shape[0]
-    h_r, h_c, h_v = _entries(H, np.arange(n))
-    a_r, a_c, a_v = _entries(A, np.arange(m_eq))
-    g_r, g_c, g_v = _entries(G, active)
-    c_r, c_c, c_v = (np.concatenate(p) for p in ((a_r, g_r + m_eq), (a_c, g_c), (a_v, g_v)))
+    h_r, h_c, h_at = _entries(H, np.arange(n))
+    a_r, a_c, a_at = _entries(A, np.arange(m_eq))
+    g_r, g_c, g_at = _entries(G, active)
+    c_r, c_c = np.concatenate([a_r, g_r + m_eq]), np.concatenate([a_c, g_c])
+    # positions in the concatenated data of H, A and G
+    c_at = np.concatenate([a_at + len(H.data), g_at + len(H.data) + len(A.data)])
+    src = np.concatenate([h_at, c_at, c_at])
     size = n + m_eq + len(active)
     diag = np.arange(size)
     rows = np.concatenate([h_r, c_c, c_r + n, diag, extra[0]])
     cols = np.concatenate([h_c, c_r + n, c_c, diag, extra[1]])
-    vals = np.concatenate([h_v, c_v, c_v])
     # column-major keys give CSC order with sorted row indices
     keys, slot = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
-    # float even without entries, where bincount returns integers
-    data = np.bincount(slot[:len(vals)], weights=vals, minlength=len(keys)).astype(float)
+    at = slot[:len(src)]
+
+    def fill(H, A, G):
+        # float even without entries, where bincount returns integers
+        return np.bincount(at, weights=np.concatenate([H.data, A.data, G.data])[src],
+                           minlength=len(keys)).astype(float)
+
     indptr = _indptr(np.bincount(keys // size, minlength=size))
-    K = sp.csc_matrix((data, keys % size, indptr), shape=(size, size))
+    K = sp.csc_matrix((fill(H, A, G), keys % size, indptr), shape=(size, size))
     K.has_canonical_format = True
-    return K, slot[len(vals):len(vals) + size], slot[len(vals) + size:]
+    return K, slot[len(src):len(src) + size], slot[len(src) + size:], fill
 
 
-def _splu(K: sp.csc_matrix, permc_spec: str = "COLAMD") -> spla.SuperLU:
-    """SuperLU factors of K; every factorization in this module comes from
-    here.  One column per panel and no relaxed supernodes suit these small,
-    very sparse KKT matrices: of the (panel_size, relax) pairs swept, (1, 1)
-    factored the scheduling QPs' Newton and one-shot matrices fastest or
-    within noise of fastest, at 5 and 15 zones."""
-    return spla.splu(K, permc_spec=permc_spec, panel_size=1, relax=1)
+def _principal(B: sp.csc_matrix, data: np.ndarray, keep: np.ndarray) -> tuple:
+    """The rows and columns ``keep`` (increasing) of B with data ``data``, as
+    a CSC matrix, and the data indices of its diagonal."""
+    new = np.full(B.shape[0], -1)
+    new[keep] = np.arange(len(keep))
+    counts, at = _segments(B.indptr, keep)
+    rows = new[B.indices[at]]
+    kept = rows >= 0
+    rows, cols = rows[kept], np.repeat(np.arange(len(keep)), counts)[kept]
+    K = sp.csc_matrix((data[at[kept]], rows, _indptr(np.bincount(cols, minlength=len(keep)))),
+                      shape=(len(keep), len(keep)))
+    K.has_canonical_format = True
+    return K, np.flatnonzero(rows == cols)
 
 
-def _solve_kkt(H, A, G, rhs: np.ndarray, active=_NO_ENTRIES,
+def _solve_kkt(K: sp.csc_matrix, diag: np.ndarray, n: int, factor, rhs: np.ndarray,
                v0: np.ndarray | None = None) -> np.ndarray:
-    """Solve [[H, C'], [C, 0]] v = rhs, C = [A; G[active]].
+    """Solve K v = rhs for K = [[H, C'], [C, 0]], H n x n, whose diagonal
+    has data indices ``diag``; ``factor`` maps a matrix to its solution map.
 
-    A signed shift (+delta on H's diagonal, -delta on the multipliers') written
-    into the stored diagonal keeps the factor nonsingular with dependent rows;
-    refinement against the unshifted matrix, from ``v0`` if given, removes its
-    bias.  Each step adds the shifted inverse of the residual, which barely
+    A signed shift (+delta on H's diagonal, -delta on the multipliers')
+    keeps the factor nonsingular with dependent rows; refinement against
+    the unshifted K, from ``v0`` if given, removes its bias, and barely
     moves v along the null space, so dependent rows keep v0's multipliers.
     Raises SingularKktError when no shift gives a consistent solve.
     """
-    K, diag, _ = _kkt_matrix(H, A, G, active)
     scale = max(1.0, float(np.abs(rhs).max()))
-    shift = np.where(np.arange(K.shape[0]) < H.shape[0], 1.0, -1.0)
+    shift = np.where(np.arange(K.shape[0]) < n, 1.0, -1.0)
     shifted = K.copy()
     for delta in (_ADJOINT_REG, 1e-8, 1e-6):
         shifted.data[diag] = K.data[diag] + delta * shift
         try:
-            factor = _splu(shifted)
+            solve = factor(shifted)
         except RuntimeError:
             continue
-        v = factor.solve(rhs) if v0 is None else v0 + factor.solve(rhs - K @ v0)
+        v = solve(rhs) if v0 is None else v0 + solve(rhs - K @ v0)
         for _ in range(5):
             if not np.all(np.isfinite(v)):
                 break
@@ -709,7 +807,7 @@ def _solve_kkt(H, A, G, rhs: np.ndarray, active=_NO_ENTRIES,
             # iterate leaves its complementarity mu * (Gu - h) at round-off
             if np.max(np.abs(r)) <= 1e-15 * scale:
                 break
-            v = v + factor.solve(r)
+            v = v + solve(r)
         if np.all(np.isfinite(v)) and np.max(np.abs(K @ v - rhs)) <= 1e-6 * scale:
             return v
     raise SingularKktError("KKT system singular beyond regularization")

@@ -84,6 +84,8 @@ class ThetaParams:
                 raise RcError(f"{name} must have length {z}")
             if not np.all(v > 0):
                 raise RcError(f"{name} must be strictly positive")
+            if not np.all(np.isfinite(v)):
+                raise RcError(f"{name} must be finite")
         if not np.all(np.isfinite(self.alpha)):
             raise RcError("alpha must be finite")
 

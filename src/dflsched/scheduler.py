@@ -190,8 +190,8 @@ def _coo_csr(entries, shape) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
-def _dynamics_slots(idx: VariableIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns, each (T, Z*Z + 3*Z), of the theta-dependent
+def _dynamics_slots(idx: VariableIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and blocks, each (T, Z*Z + 3*Z), of the theta-dependent
     dynamics coefficients.  Hour t, zone z owns equality row Z + t*Z + z;
     per hour the slots follow rc.coefficient_jacobian's rows: -m_tau[z, j]
     at tau[t, j] (row-major), -m_ph[z] at p_h[t, z], -m_pc[z] at p_c[t, z],
@@ -201,12 +201,35 @@ def _dynamics_slots(idx: VariableIndex) -> tuple[np.ndarray, np.ndarray]:
     rows = np.hstack([np.repeat(dyn, z_n, axis=1), dyn, dyn, dyn])
     cols = np.hstack([np.tile(idx.tau[:-1], z_n), idx.p_h, idx.p_c,
                       np.full((t_h, z_n), -1)])
-    return rows, cols
+    return rows, cols, np.where(cols < 0, "b", "A")
 
 
-def assemble(theta: ThetaParams, scenario: DayScenario, tariff: Tariff,
-             config: ScheduleConfig) -> tuple[qp.QpProblem, VariableIndex]:
-    """Build the scheduling QP.
+@dataclass(frozen=True)
+class ScheduleTemplate:
+    """What the scheduling QPs of one tariff and config share: ``problem``,
+    the QP with its theta-dependent A entries and b zero; ``a_slots``, the
+    data indices in A of those entries; ``slots``, _dynamics_slots; and
+    ``kkt``, the KKT structure of the QPs' pattern (None for a lone QP, which
+    qp.solve then builds its matrices for)."""
+
+    tariff: Tariff
+    config: ScheduleConfig
+    index: VariableIndex
+    problem: qp.QpProblem
+    a_slots: np.ndarray
+    slots: tuple[np.ndarray, np.ndarray, np.ndarray]
+    kkt: qp.KktStructure | None
+
+
+def schedule_template(tariff: Tariff, config: ScheduleConfig) -> ScheduleTemplate:
+    """The structure of the scheduling QPs of ``tariff`` and ``config``, for
+    ``assemble``, ``coefficient_map`` and ``solve_schedule``."""
+    t = _layout(tariff, config)
+    return replace(t, kkt=qp.KktStructure(t.problem.Q, t.problem.A, t.problem.G))
+
+
+def _layout(tariff: Tariff, config: ScheduleConfig) -> ScheduleTemplate:
+    """The scheduling QPs' template without a KKT structure.
 
     Equality rows, in order: Z initial conditions; T*Z RC dynamics rows
     tau[t+1] - m_tau @ tau[t] - m_ph*p_h[t] - m_pc*p_c[t] = m_amb*amb[t]
@@ -219,20 +242,10 @@ def assemble(theta: ThetaParams, scenario: DayScenario, tariff: Tariff,
     """
     topo = config.topology
     t_h, z_n, f_n = config.horizon, topo.num_zones, topo.num_floors
-    amb = np.asarray(scenario.ambient, dtype=float)
-    if amb.shape != (t_h,):
-        raise ScheduleError(f"scenario ambient must have length {t_h}")
-    tau0 = np.asarray(scenario.initial_tau, dtype=float)
-    if tau0.shape != (z_n,):
-        raise ScheduleError(f"scenario initial temperatures must have length {z_n}")
     if tariff.horizon != t_h:
         raise ScheduleError("tariff horizon disagrees with config")
-    if not np.all(np.isfinite(theta.alpha)):
-        raise ScheduleError("theta contains non-finite values")
-
     idx = variable_index(t_h, z_n)
     n = idx.num_vars
-    coeff = rc.step_coefficients(theta)
 
     # objective
     q_diag = np.zeros(n)
@@ -245,25 +258,23 @@ def assemble(theta: ThetaParams, scenario: DayScenario, tariff: Tariff,
 
     # equalities
     tz = t_h * z_n
-    slot_rows, slot_cols = _dynamics_slots(idx)
+    slots = slot_rows, slot_cols, _ = _dynamics_slots(idx)
     k = z_n * z_n + 2 * z_n  # A slots per hour; the Z b slots follow
-    dyn = slot_rows[:, k:]
     hvac = z_n + tz + np.arange(tz).reshape(t_h, z_n)
     balance = z_n + 2 * tz + np.arange(t_h)
-    step = np.concatenate([coeff.m_tau.ravel(), coeff.m_ph, coeff.m_pc])
     A = _coo_csr([
         (np.arange(z_n), idx.tau[0], 1.0),  # initial conditions
-        (dyn, idx.tau[1:], 1.0),  # dynamics
-        (slot_rows[:, :k], slot_cols[:, :k], -step),
+        (slot_rows[:, k:], idx.tau[1:], 1.0),  # dynamics
+        (slot_rows[:, :k], slot_cols[:, :k], 0.0),
         (hvac, idx.p_hvac, 1.0),  # hvac power definition
         (hvac, idx.p_h, -1.0),
         (hvac, idx.p_c, -1.0),
         (balance[:, None], idx.p_hvac, 1.0),  # energy balance
         (balance, idx.p_i, -1.0),
     ], (z_n + 2 * tz + t_h, n))
-    b = np.zeros(A.shape[0])
-    b[:z_n] = tau0
-    b[dyn] = coeff.m_amb * amb[:, None]
+    # CSR stores its entries in (row, column) order
+    keys = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)) * n + A.indices
+    a_slots = np.searchsorted(keys, slot_rows[:, :k] * n + slot_cols[:, :k])
 
     # inequalities
     members = np.fromiter(chain.from_iterable(topo.floors), dtype=int)
@@ -285,28 +296,64 @@ def assemble(theta: ThetaParams, scenario: DayScenario, tariff: Tariff,
                         config.floor_cap_h.ravel(), config.floor_cap_c.ravel(),
                         np.zeros(t_h), [config.line_capacity], np.zeros(2 * tz + t_h)])
 
-    return qp.QpProblem(n, Q, q_lin, A, b, G, h), idx
+    return ScheduleTemplate(tariff, config, idx, qp.QpProblem(
+        n, Q, q_lin, A, np.zeros(A.shape[0]), G, h), a_slots, slots, None)
 
 
-def coefficient_map(theta: ThetaParams, scenario: DayScenario,
-                    config: ScheduleConfig) -> qp.CoefficientMap:
+def _checked(template: ScheduleTemplate, tariff: Tariff | None,
+             config: ScheduleConfig) -> ScheduleTemplate:
+    """``template``; ValueError when it was built for another config, or
+    for another tariff than a given one (a caller's mistake, not a QP's)."""
+    if template.config is not config or tariff is not None and tariff is not template.tariff:
+        raise ValueError("the template was built for another tariff or config")
+    return template
+
+
+def assemble(theta: ThetaParams, scenario: DayScenario, tariff: Tariff,
+             config: ScheduleConfig, template: ScheduleTemplate | None = None
+             ) -> tuple[qp.QpProblem, VariableIndex]:
+    """Build the scheduling QP (layout in ``_layout``) by writing
+    the values that depend on theta, the ambient and the initial
+    temperatures into ``template``'s QP, or into a layout built for it."""
+    template = (_layout(tariff, config) if template is None
+                else _checked(template, tariff, config))
+    t_h, z_n = config.horizon, config.topology.num_zones
+    amb = np.asarray(scenario.ambient, dtype=float)
+    if amb.shape != (t_h,):
+        raise ScheduleError(f"scenario ambient must have length {t_h}")
+    tau0 = np.asarray(scenario.initial_tau, dtype=float)
+    if tau0.shape != (z_n,):
+        raise ScheduleError(f"scenario initial temperatures must have length {z_n}")
+
+    coeff = rc.step_coefficients(theta)
+    base = template.problem
+    A = base.A.copy()
+    A.data[template.a_slots] = -np.concatenate([coeff.m_tau.ravel(), coeff.m_ph, coeff.m_pc])
+    b = np.zeros(base.num_eq)
+    b[:z_n] = tau0
+    b[template.slots[0][:, -z_n:]] = coeff.m_amb * amb[:, None]
+    return qp.QpProblem(base.num_vars, base.Q, base.q, A, b, base.G, base.h), template.index
+
+
+def coefficient_map(theta: ThetaParams, scenario: DayScenario, config: ScheduleConfig,
+                    template: ScheduleTemplate | None = None) -> qp.CoefficientMap:
     """Where every theta-dependent QP coefficient lives (laid out by
     _dynamics_slots), with its Jacobian against the flat parameter vector;
-    feeds qp.backward_through_map."""
-    idx = variable_index(config.horizon, config.topology.num_zones)
-    rows, cols = _dynamics_slots(idx)
+    feeds qp.backward_through_map.  ``template`` supplies the slots."""
+    rows, cols, blocks = _checked(template, None, config).slots if template else (
+        _dynamics_slots(variable_index(config.horizon, config.topology.num_zones)))
     t_h, per_hour = rows.shape
-    jac = rc.coefficient_jacobian(theta).tocoo()  # one row per hourly slot
+    jac = rc.coefficient_jacobian(theta)  # one row per hourly slot
+    counts = np.diff(jac.indptr)
     amb = np.asarray(scenario.ambient, dtype=float)
     # per hour: A slots hold minus the coefficient, b slots m_amb * amb[t]
-    vals = np.where(cols[:, jac.row] < 0, amb[:, None] * jac.data, -jac.data)
-    return qp.CoefficientMap(
-        blocks=np.where(cols.ravel() < 0, "b", "A"),
-        rows=rows.ravel(),
-        cols=cols.ravel(),
-        jacobian=_coo_csr([(per_hour * np.arange(t_h)[:, None] + jac.row, jac.col, vals)],
-                          (rows.size, jac.shape[1])),
-    )
+    at_b = cols[:, np.repeat(np.arange(per_hour), counts)] < 0
+    vals = np.where(at_b, amb[:, None] * jac.data, -jac.data)
+    jacobian = sp.csr_matrix((vals.ravel(), np.tile(jac.indices, t_h),
+                              np.concatenate([[0], np.cumsum(np.tile(counts, t_h))])),
+                             shape=(rows.size, jac.shape[1]))
+    return qp.CoefficientMap(blocks=blocks.ravel(), rows=rows.ravel(), cols=cols.ravel(),
+                             jacobian=jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +362,15 @@ def coefficient_map(theta: ThetaParams, scenario: DayScenario,
 
 def solve_schedule(theta: ThetaParams, scenario: DayScenario, tariff: Tariff,
                    config: ScheduleConfig, tolerance: float = 1e-8,
-                   max_iter: int = 200) -> ScheduleResult:
+                   max_iter: int = 200, template: ScheduleTemplate | None = None
+                   ) -> ScheduleResult:
+    """Assemble and solve one schedule, on ``template``'s KKT structure
+    (from schedule_template(tariff, config)) if one is given."""
     # degenerate capacity actives (a floor cap plus all its zone caps) slow
     # the interior-point endgame; iterations are cheap, so the cap is generous
-    problem, idx = assemble(theta, scenario, tariff, config)
-    solution = qp.solve(problem, tolerance=tolerance, max_iter=max_iter)
+    problem, idx = assemble(theta, scenario, tariff, config, template)
+    solution = qp.solve(problem, tolerance=tolerance, max_iter=max_iter,
+                        structure=template.kkt if template else None)
     if solution.status != qp.QpStatus.OPTIMAL:
         raise ScheduleError(
             f"scheduling QP did not solve: {solution.status.value} "
@@ -331,16 +382,10 @@ def solve_schedule(theta: ThetaParams, scenario: DayScenario, tariff: Tariff,
 def extract(problem: qp.QpProblem, solution: qp.QpSolution, idx: VariableIndex,
             tariff: Tariff, config: ScheduleConfig) -> ScheduleResult:
     u = solution.primal
-    tau = u[idx.tau]
-    p_h = u[idx.p_h]
-    p_c = u[idx.p_c]
-    p_hvac = u[idx.p_hvac]
-    p_i = u[idx.p_i]
-    p_d = float(u[idx.p_d])
     result = ScheduleResult(
-        tau_in=tau, p_h=p_h, p_c=p_c, p_hvac=p_hvac, p_import=p_i,
-        p_peak=p_d, expected_cost=0.0, problem=problem,
-        solution=solution, index=idx)
+        tau_in=u[idx.tau], p_h=u[idx.p_h], p_c=u[idx.p_c], p_hvac=u[idx.p_hvac],
+        p_import=u[idx.p_i], p_peak=float(u[idx.p_d]), expected_cost=0.0,
+        problem=problem, solution=solution, index=idx)
     return replace(result, expected_cost=expected_cost(result, tariff))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflsched import learning, plant, rc, reporting, scheduler
+from dflsched import learning, plant, qp, rc, reporting, scheduler
 from dflsched.learning import AdamState, TrainConfig, adam_step
 from dflsched.scenarios import DayScenario
 from conftest import rel_err
@@ -351,10 +351,10 @@ class TestFailureInjection:
                       for labels in ((0, 1, 2), (10, 11, 12)))
         solve = scheduler.solve_schedule
 
-        def failing_solve(theta, scen, tariff, config):
+        def failing_solve(theta, scen, tariff, config, **kwargs):
             if scen.label in failing:
                 raise scheduler.ScheduleError(f"injected failure on {scen.label}")
-            return solve(theta, scen, tariff, config)
+            return solve(theta, scen, tariff, config, **kwargs)
 
         monkeypatch.setattr(scheduler, "solve_schedule", failing_solve)
         theta0 = rc.unpack(rc.pack(theta_star) + 0.05, theta_star.num_zones)
@@ -415,10 +415,10 @@ class TestFailureInjection:
             epochs.append(len(epochs))
             return evaluate(*args)
 
-        def failing_solve(theta, scen, tariff, config):
+        def failing_solve(theta, scen, tariff, config, **kwargs):
             if scen is worst and epochs[-1:] == [1]:
                 raise scheduler.ScheduleError("injected failure in epoch 1")
-            return solve(theta, scen, tariff, config)
+            return solve(theta, scen, tariff, config, **kwargs)
 
         monkeypatch.setattr(learning, "evaluate_scenarios", counting_evaluate)
         monkeypatch.setattr(scheduler, "solve_schedule", failing_solve)
@@ -429,6 +429,31 @@ class TestFailureInjection:
         full, partial = (r.hier_loss for r in log.rows("val"))
         assert partial < full - 1e-9  # the partial epoch has the lowest loss
         assert log.best_epoch == 0
+
+    def test_non_finite_gradient_skips_one_step_and_is_recorded(
+            self, rng, monkeypatch, caplog, tmp_path):
+        # a NaN dL/dtheta for the second sample of epoch 0: Adam skips that
+        # step with a warning, training goes on, and the sidecar counts it
+        theta0, sim, cfg, tariff, train, val = self.setup(rng, monkeypatch, set())
+        through_map, calls = qp.backward_through_map, []
+
+        def nan_once(sens, cmap):
+            calls.append(len(calls))
+            grad = through_map(sens, cmap)
+            return np.full_like(grad, np.nan) if len(calls) == 2 else grad
+
+        monkeypatch.setattr(qp, "backward_through_map", nan_once)
+        tc = TrainConfig(lr=0.01, max_epochs=2, patience=2, seed=0)
+        with caplog.at_level("WARNING", logger="dflsched.learning"):
+            best, log = learning.dfl_train(theta0, train, sim, tariff, tc, cfg,
+                                           val_scenarios=val)
+        assert len(calls) == 6 and log.skipped_steps == 1
+        assert np.all(np.isfinite(rc.pack(best)))
+        assert [r.getMessage() for r in caplog.records].count(
+            "non-finite gradient: step skipped") == 1
+        log.save_sidecar(tmp_path / "sidecar.json", tc)
+        sidecar = json.loads((tmp_path / "sidecar.json").read_text())
+        assert (sidecar["skipped_steps"], sidecar["skipped_samples"]) == (1, 0)
 
     def test_every_training_sample_failing_raises(self, rng, monkeypatch):
         theta0, sim, cfg, tariff, train, val = self.setup(rng, monkeypatch, {0, 1, 2})

@@ -1,4 +1,6 @@
 """QP solver and KKT implicit differentiation."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,7 @@ def schedule_qp(zones: int, horizon: int = 24) -> qp.QpProblem:
 
 
 def newton_reference(p, G, D):
-    """The Newton matrix of ``_NewtonKkt`` assembled afresh with sp.bmat."""
+    """The Newton matrix of ``KktStructure.newton`` assembled afresh with sp.bmat."""
     import scipy.sparse as sp
     n, m_eq = p.num_vars, p.num_eq
     top = p.Q + G.T @ sp.diags(D) @ G + qp._IPM_REG * sp.identity(n)
@@ -211,11 +213,11 @@ class TestNewtonKkt:
         G = p.G.toarray()
         G[2] = 0.0
         G = sp.csr_matrix(G)
-        kkt = qp._NewtonKkt(p.Q, p.A, G)
+        kkt = qp._OneShotKkt().newton(replace(p, G=G))
         for _ in range(2):
             D = rng.uniform(0.0, 1e3, size=m_in)
             ref = newton_reference(p, G, D)
-            K = kkt.matrix(D)
+            K = kkt.newton_matrix(D)
             assert K.format == "csc"
             np.testing.assert_allclose(K.toarray(), ref.toarray(),
                                        rtol=1e-13, atol=1e-12)
@@ -228,10 +230,10 @@ class TestNewtonKkt:
         import scipy.sparse.linalg as spla
         p = schedule_qp(zones, horizon=6)
         size = p.num_vars + p.num_eq
-        kkt = qp._NewtonKkt(p.Q, p.A, p.G)
+        kkt = qp._OneShotKkt().newton(p)
         for k in range(3):
             D = rng.uniform(0.0, 1e3, size=p.num_in)
-            solve = kkt.factor(D)
+            solve = kkt.newton_factor(D)
             ref = newton_reference(p, p.G, D)
             r = rng.normal(size=size)
             x, fresh = solve(r), spla.splu(ref).solve(r)
@@ -241,6 +243,25 @@ class TestNewtonKkt:
         # the order moves columns, so a wrong gather map or a missing
         # un-permutation shows
         assert not np.array_equal(kkt._order, np.arange(size))
+
+    @pytest.mark.parametrize("m_eq", [0, 2])
+    def test_primed_structure_writes_each_problems_values(self, rng, m_eq):
+        # a structure built from one problem's patterns stores the Newton
+        # matrix in its pattern's column order and takes every value, static
+        # part and scaling map alike, from the problem it is given
+        import scipy.sparse as sp
+        p = random_strictly_convex_qp(rng, 6, m_eq, 5)
+        G = p.G.toarray()
+        G[2] = 0.0
+        p = replace(p, G=sp.csr_matrix(G))
+        kkt = qp.KktStructure(p.Q, p.A, p.G)
+        for scale in (1.0, 3.0, 0.5):
+            other = replace(p, Q=p.Q * scale, A=p.A * (1 + scale), G=p.G * scale)
+            kkt.newton(other)
+            D = rng.uniform(0.0, 1e3, size=5)
+            ref = newton_reference(other, other.G, D).toarray()[:, kkt._order]
+            np.testing.assert_allclose(kkt.newton_matrix(D).toarray(), ref,
+                                       rtol=1e-13, atol=1e-12)
 
 
 class TestKktMatrix:
@@ -259,12 +280,32 @@ class TestKktMatrix:
         Hm = p.Q if H == "Q" else sp.identity(n, format="csr")
         C = sp.vstack([p.A, G[active]], format="csr")
         ref = sp.bmat([[Hm, C.T], [C, sp.csr_matrix((C.shape[0], C.shape[0]))]])
-        K, diag, extra = qp._kkt_matrix(Hm, p.A, G, np.array(active, dtype=int))
+        K, diag, extra, _ = qp._kkt_matrix(Hm, p.A, G, np.array(active, dtype=int))
         assert K.format == "csc" and K.has_sorted_indices
         np.testing.assert_array_equal(K.toarray(), ref.toarray())
         np.testing.assert_array_equal(
             K.indices[diag], np.arange(n + m_eq + len(active)))
         assert extra.size == 0
+
+    @pytest.mark.parametrize("m_eq", [0, 2])
+    def test_bordered_rows_equal_direct_assembly(self, rng, m_eq):
+        # a reusing structure takes the polish and adjoint matrices as rows
+        # and columns of its bordered pattern; each must equal, to the last
+        # bit and index, the matrix built for its active rows alone
+        import scipy.sparse as sp
+        p = random_strictly_convex_qp(rng, 6, m_eq, 5)
+        G = p.G.toarray()
+        G[2] = 0.0
+        p = replace(p, G=sp.csr_matrix(G))
+        system = qp.KktStructure(p.Q, p.A, p.G).bordered(p)
+        for active in ([], [2], [0, 2, 3], [0, 1, 2, 3, 4], [4]):
+            rows = np.array(active, dtype=int)
+            K, diag, n, _ = system(rows)
+            ref, ref_diag, _, _ = qp._kkt_matrix(p.Q, p.A, p.G, rows)
+            for got, want in ((K.data, ref.data), (K.indices, ref.indices),
+                              (K.indptr, ref.indptr), (diag, ref_diag)):
+                assert got.tobytes() == want.tobytes()
+            assert n == p.num_vars
 
 
 class TestPolish:
@@ -299,12 +340,91 @@ class TestPolish:
         # splits the dependent multipliers arbitrarily, and the polish loops
         cold_solve_kkt = qp._solve_kkt
         monkeypatch.setattr(
-            qp, "_solve_kkt", lambda H, A, G, rhs, active=qp._NO_ENTRIES, v0=None:
-            cold_solve_kkt(H, A, G, rhs, active))
+            qp, "_solve_kkt", lambda K, diag, n, factor, rhs, v0=None:
+            cold_solve_kkt(K, diag, n, factor, rhs))
         cold = qp.solve(p)
         assert cold.status == qp.QpStatus.OPTIMAL
         assert cold.polish_rounds > 1
         np.testing.assert_allclose(s.primal, cold.primal, rtol=0, atol=1e-9)
+
+
+def schedule_qps(zones, count):
+    """``count`` scheduling QPs of one pattern, each with its own theta,
+    ambient and initial temperatures."""
+    from dflsched import rc, scheduler
+    from dflsched.scenarios import DayScenario
+    topo, hours = rc.default_topology(zones), np.arange(24)
+    tariff = scheduler.default_tariff(24)
+    config = scheduler.default_schedule_config(topo)
+    return [scheduler.assemble(
+        rc.default_theta(zones, seed=7 + k),
+        DayScenario(ambient=k + 6.0 * np.sin(2 * np.pi * (hours - 9) / 24),
+                    initial_tau=np.full(zones, 18.0 + k / 4), label=0, weight=1.0),
+        tariff, config)[0] for k in range(count)]
+
+
+def solution_bytes(s, sens=None):
+    arrays = [s.primal, s.dual_eq, s.dual_in] + ([sens.v_u, sens.v_y, sens.v_mu] if sens else [])
+    return [a.tobytes() for a in arrays], (s.iterations, s.polish_rounds, s.factorizations)
+
+
+class TestKktStructure:
+    def test_refuses_a_problem_of_another_pattern(self, rng):
+        p = schedule_qp(3)
+        structure = qp.KktStructure(p.Q, p.A, p.G)
+        other = replace(p, G=p.G[:-1], h=p.h[:-1])  # one inequality row fewer
+        for bad in (other, schedule_qp(2), random_strictly_convex_qp(rng, 4, 1, 3)):
+            with pytest.raises(qp.QpError, match="sparsity pattern differs"):
+                qp.solve(bad, structure=structure)
+        s = qp.solve(p)
+        with pytest.raises(qp.QpError, match="sparsity pattern differs"):
+            qp.backward(other, s, np.ones(p.num_vars), structure)
+
+    def test_primed_structure_gives_the_same_bits_first_and_after_others(self):
+        # the start's and Newton orders come from the patterns when the
+        # structure is built, so no solve depends on the ones before it
+        problems = schedule_qps(5, 4)
+        p = problems[0]
+        g = np.linspace(-1.0, 1.0, p.num_vars)
+        structure = qp.KktStructure(p.Q, p.A, p.G)
+        first = qp.solve(p, structure=structure)
+        want = solution_bytes(first, qp.backward(p, first, g, structure))
+        for other in problems[1:]:
+            # and another problem's bits do not depend on which problem the
+            # structure was built from
+            own = qp.KktStructure(other.Q, other.A, other.G)
+            assert (solution_bytes(qp.solve(other, structure=structure))
+                    == solution_bytes(qp.solve(other, structure=own)))
+        again = qp.solve(p, structure=structure)
+        assert solution_bytes(again, qp.backward(p, again, g, structure)) == want
+        fresh = qp.KktStructure(p.Q, p.A, p.G)
+        s = qp.solve(p, structure=fresh)
+        assert solution_bytes(s, qp.backward(p, s, g, fresh)) == want
+        # the same point as a lone solve, to round-off
+        lone = qp.solve(p)
+        np.testing.assert_allclose(first.primal, lone.primal, rtol=1e-12, atol=1e-10)
+        assert first.status == lone.status == qp.QpStatus.OPTIMAL
+
+    def test_primed_structure_orders_fewer_columns(self, monkeypatch):
+        # a lone solve orders its start, its first Newton step and each
+        # polish round with COLAMD; on a primed structure only the polish does
+        import scipy.sparse.linalg as spla
+        p = schedule_qp(5)
+        structure = qp.KktStructure(p.Q, p.A, p.G)
+        specs = []
+        splu = spla.splu
+
+        def counting(K, permc_spec="COLAMD", **kwargs):
+            specs.append(permc_spec)
+            return splu(K, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(qp.spla, "splu", counting)
+        lone = qp.solve(p)
+        lone_colamd, specs[:] = specs.count("COLAMD"), []
+        primed = qp.solve(p, structure=structure)
+        assert primed.factorizations == len(specs) == lone.factorizations
+        assert specs.count("COLAMD") == primed.polish_rounds == lone_colamd - 2
+        assert structure.factorizations == 2 + primed.factorizations
 
 
 class TestEarlyPolish:
@@ -329,6 +449,7 @@ class TestEarlyPolish:
         assert (s.iterations, s.polish_rounds) == (8, 2)
         assert len(specs) == 10
         assert specs.count("NATURAL") == 6
+        assert s.factorizations == 10
 
     def test_failed_try_keeps_iterating(self, monkeypatch):
         # the first try's active set alternates between two sets, so the
@@ -648,6 +769,19 @@ class TestSlotGradients:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("block", ["Q", "A", "G", "q", "b", "h"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, rng, block, bad):
+        # a non-finite matrix entry once graded INFEASIBLE or MAX_ITER
+        p = random_strictly_convex_qp(rng, n=4, m_eq=2, m_in=3)
+        data = getattr(p, block).copy()
+        (data.data if block in "QAG" else data)[1] = bad
+        p = replace(p, **{block: data})
+        with pytest.raises(qp.QpError, match="problem data contains non-finite values"):
+            p.validate()
+        with pytest.raises(qp.QpError, match="problem data contains non-finite values"):
+            qp.solve(p)
+
     def test_asymmetric_q_rejected(self):
         p = qp.QpProblem(2, [[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
         with pytest.raises(qp.QpError, match="not symmetric"):

@@ -146,6 +146,15 @@ class TestPackUnpack:
         with pytest.raises(rc.RcError):
             rc.ThetaParams([[1.0]], [0.0], [1.0], [1.0], [1.0])
 
+    @pytest.mark.parametrize("name", ["eta_h", "eta_c", "r", "c"])
+    def test_infinite_parameter_rejected(self, name):
+        values = {key: [1.0] for key in ("eta_h", "eta_c", "r", "c")}
+        values[name] = [np.inf]
+        with pytest.raises(rc.RcError, match=f"^{name} must be finite$"):
+            rc.ThetaParams([[1.0]], **values)
+        with pytest.raises(rc.RcError, match="alpha must be finite"):
+            rc.ThetaParams([[np.nan]], [1.0], [1.0], [1.0], [1.0])
+
 
 class TestCoefficientJacobian:
     def test_ambient_coefficient_wrt_log_r(self):

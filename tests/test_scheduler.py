@@ -335,3 +335,58 @@ class TestDynamicsSlotLayout:
                 np.testing.assert_array_equal(getattr(new, part), getattr(old, part))
         np.testing.assert_array_equal(other.q, problem.q)
         np.testing.assert_array_equal(other.h, problem.h)
+
+
+class TestScheduleTemplate:
+    @staticmethod
+    def arrays(problem, cmap):
+        p = problem
+        return [a.tobytes() for a in (
+            p.Q.data, p.Q.indices, p.Q.indptr, p.q, p.A.data, p.A.indices, p.A.indptr,
+            p.b, p.G.data, p.G.indices, p.G.indptr, p.h, cmap.blocks, cmap.rows,
+            cmap.cols, cmap.jacobian.data, cmap.jacobian.indices, cmap.jacobian.indptr)]
+
+    def test_template_writes_the_same_bytes_as_a_lone_assembly(self, rng):
+        # one template serves days and thetas in turn; each QP and map equals,
+        # byte for byte, the one built without a template
+        topo = rc.default_topology(7, 5)
+        cfg = make_config(topo, 6, weight=2.0)
+        tariff = scheduler.default_tariff(6)
+        template = scheduler.schedule_template(tariff, cfg)
+        for seed in range(3):
+            theta = rc.default_theta(7, seed=seed)
+            scen = scenario_of(rng.normal(5.0, 5.0, 6), rng.normal(20.0, 1.0, 7))
+            lone = self.arrays(scheduler.assemble(theta, scen, tariff, cfg)[0],
+                               scheduler.coefficient_map(theta, scen, cfg))
+            assert self.arrays(scheduler.assemble(theta, scen, tariff, cfg, template)[0],
+                               scheduler.coefficient_map(theta, scen, cfg, template)) == lone
+        # the template's own QP keeps its zero theta entries
+        assert not np.any(template.problem.A.data[template.a_slots])
+
+    def test_solve_on_a_template_matches_a_lone_solve(self, rng):
+        topo = rc.default_topology(3)
+        cfg = make_config(topo, 8, weight=2.0, zone_cap_h=3.0)
+        tariff = scheduler.default_tariff(8)
+        template = scheduler.schedule_template(tariff, cfg)
+        for _ in range(3):
+            scen = scenario_of(rng.normal(0.0, 5.0, 8), np.full(3, 19.0))
+            theta = rc.default_theta(3, seed=int(rng.integers(100)))
+            lone = scheduler.solve_schedule(theta, scen, tariff, cfg)
+            res = scheduler.solve_schedule(theta, scen, tariff, cfg, template=template)
+            np.testing.assert_allclose(res.tau_in, lone.tau_in, rtol=1e-10, atol=1e-8)
+            assert res.solution.kkt_residual <= 1e-8
+
+    def test_template_of_another_tariff_or_config_refused(self):
+        topo = rc.default_topology(2)
+        cfg, tariff = make_config(topo, 4), scheduler.default_tariff(4)
+        template = scheduler.schedule_template(tariff, cfg)
+        scen = scenario_of([0.0] * 4, [20.0, 20.0])
+        theta = carryover_theta(2)
+        for other_tariff, other_cfg in ((scheduler.default_tariff(4), cfg),
+                                        (tariff, make_config(topo, 4))):
+            # a caller's mistake, not a QP that failed (ScheduleError)
+            with pytest.raises(ValueError, match="another tariff or config"):
+                scheduler.solve_schedule(theta, scen, other_tariff, other_cfg,
+                                         template=template)
+        with pytest.raises(ValueError, match="another tariff or config"):
+            scheduler.coefficient_map(theta, scen, make_config(topo, 4), template)
