@@ -17,7 +17,9 @@ The KKT matrices (the Newton matrix, and the least-norm start, polish,
 equality-only and adjoint systems that ``_solve_kkt`` shifts, factors and
 refines) come from a ``_OneShotKkt`` that ``solve`` and ``backward`` build
 per call, or from a caller's ``KktStructure``, which builds every pattern
-once for many problems.
+once for many problems.  Each is quasi-definite once shifted, so it is
+factored with diagonal pivots in a symmetric order: SuperLU's for each
+factorization (one-shot), or one derived once per pattern (structure).
 """
 from __future__ import annotations
 
@@ -57,6 +59,10 @@ DEGENERACY_THRESHOLD = 1e-6
 
 # Static regularization of interior-point KKT systems (quasi-definite trick).
 _IPM_REG = 1e-9
+# Every KKT factorization: a minimum-degree order of K + K', and a diagonal
+# pivot unless it is 100 times smaller than the largest entry below it.
+_ORDERING = "MMD_AT_PLUS_A"
+_PIVOT_THRESH = 0.01
 # First signed diagonal shift of the one-shot KKT solves (``_solve_kkt``).
 _ADJOINT_REG = 1e-10
 # Above this many variables only a diagonal Q is checked for PSD exactly.
@@ -283,38 +289,39 @@ def _residual_norm(stat: np.ndarray, r_p: np.ndarray, gap: np.ndarray,
 
 class _OneShotKkt:
     """The KKT matrices of one solve or backward at the problem's values,
-    each built when it is needed; ``factorizations`` counts SuperLU
-    factorizations.  The Newton matrix [[Q + G'diag(D)G + r I, A'],
-    [A, -r I]] (r = _IPM_REG) is a static part plus a linear map of the
-    scaling D (row k of G adds G[k,i] G[k,j] D[k] to (i, j)), stored with its
-    columns in the order it is factored in: COLAMD's at the first Newton
-    step, as for every one-shot system.
+    each built when it is needed and factored in the order SuperLU chooses
+    for it (_ORDERING); ``factorizations`` counts SuperLU factorizations.
+    The Newton matrix [[Q + G'diag(D)G + r I, A'], [A, -r I]]
+    (r = _IPM_REG) is a static part plus a linear map of the scaling D (row
+    k of G adds G[k,i] G[k,j] D[k] to (i, j)).
     """
 
     def __init__(self):
         self.factorizations = 0
 
-    def _splu(self, K: sp.csc_matrix, permc_spec: str = "COLAMD") -> spla.SuperLU:
+    def _splu(self, K: sp.csc_matrix, permc_spec: str = _ORDERING) -> spla.SuperLU:
         """SuperLU factors of K; every factorization in this module comes
-        from here.  Of the (panel_size, relax) pairs swept, (1, 1) factored
-        the scheduling QPs' KKT matrices fastest, or within noise of it."""
+        from here, preferring diagonal pivots (_PIVOT_THRESH).  Of the
+        (panel_size, relax) pairs swept, (1, 1) factored the scheduling QPs'
+        KKT matrices fastest, or within noise of it."""
         self.factorizations += 1
-        return spla.splu(K, permc_spec=permc_spec, panel_size=1, relax=1)
-
-    def _colamd(self, K: sp.csc_matrix):
-        return self._splu(K).solve
+        return spla.splu(K, permc_spec=permc_spec, diag_pivot_thresh=_PIVOT_THRESH,
+                         options=dict(SymmetricMode=True), panel_size=1, relax=1)
 
     def start(self, p: QpProblem) -> tuple:
         """The least-norm start's [[I, A'], [A, 0]] at p's values, as
-        ``_solve_kkt``'s first four arguments."""
-        K, diag, _, _ = _kkt_matrix(sp.identity(p.num_vars, format="csr"), p.A, p.G)
-        return K, diag, p.num_vars, self._colamd
+        ``_solve_kkt``'s system."""
+        return self._system(_kkt_matrix(sp.identity(p.num_vars, format="csr"), p.A, p.G), p)
 
     def bordered(self, p: QpProblem):
         """rows -> [[Q, A', G_S'], [A, 0, 0], [G_S, 0, 0]] at p's values for
         the inequality rows S = ``rows`` (increasing), as ``_solve_kkt``'s
-        first four arguments."""
-        return lambda rows: (*_kkt_matrix(p.Q, p.A, p.G, rows)[:2], p.num_vars, self._colamd)
+        system."""
+        return lambda rows: self._system(_kkt_matrix(p.Q, p.A, p.G, rows), p)
+
+    def _system(self, built: tuple, p: QpProblem) -> tuple:
+        K, diag = built[:2]
+        return K, diag, np.arange(K.shape[0]), p.num_vars, lambda M: self._splu(M).solve
 
     def newton(self, p: QpProblem) -> "_OneShotKkt":
         """Set the Newton matrix to p's values; returns self."""
@@ -323,7 +330,7 @@ class _OneShotKkt:
 
     def _newton_parts(self, Q: sp.csr_matrix, A: sp.csr_matrix, G: sp.csr_matrix) -> np.ndarray:
         """Build the Newton matrix's pattern, static part and scaling map, in
-        natural column order; returns the data indices of its diagonal."""
+        natural order; returns the data indices of its diagonal."""
         # every (a, b) pair of stored entries within one row of G, row-major
         counts = np.diff(G.indptr)
         pairs = counts ** 2
@@ -342,12 +349,12 @@ class _OneShotKkt:
         self._scaling = sp.csr_matrix((G.data[self._ea] * G.data[self._eb], g_row[by_entry],
                                        _indptr(np.bincount(pair, minlength=nnz))),
                                       shape=(nnz, G.shape[0]))
-        self._order = None  # column j of the stored matrix is column _order[j]
+        self._order = None
         return diag
 
     def newton_matrix(self, D: np.ndarray) -> sp.csc_matrix:
-        """The Newton matrix at scaling D with its columns in the stored
-        order (the same object, values refreshed)."""
+        """The Newton matrix at scaling D as stored, P K P' on a structure
+        (the same object, values refreshed)."""
         self._K.data[:] = self._static + self._scaling @ D
         return self._K
 
@@ -355,48 +362,42 @@ class _OneShotKkt:
         """The solution map r -> K(D)^-1 r of the Newton matrix at scaling D."""
         K = self.newton_matrix(D)
         if self._order is None:
-            lu = self._splu(K)
-            # SuperLU factors K Pc with Pc[i, perm_c[i]] = 1: column j of
-            # K Pc is column argsort(perm_c)[j] of K
-            self._store_in_order(np.argsort(lu.perm_c))
-            return lu.solve
+            return self._splu(K).solve
         return _in_order(self._splu(K, "NATURAL"), self._order)
-
-    def _store_in_order(self, order: np.ndarray) -> tuple:
-        """Store the Newton matrix with its columns in ``order``; returns
-        where its entries and the scaling map's came from."""
-        K, S = self._K, self._scaling
-        counts, at = _segments(K.indptr, order)
-        self._K = sp.csc_matrix((K.data[at], K.indices[at], _indptr(counts)), shape=K.shape)
-        self._static = self._static[at]
-        counts, s_at = _segments(S.indptr, at)
-        self._scaling = sp.csr_matrix((S.data[s_at], S.indices[s_at], _indptr(counts)),
-                                      shape=S.shape)
-        self._order = order
-        return at, s_at
 
 
 class KktStructure(_OneShotKkt):
     """The KKT matrices of every problem whose Q, A and G store their entries
     where the ones given here do.  Each pattern is built once, with a map from
-    Q, A and G's data to its own; the polish and adjoint matrices are rows
-    and columns of one bordered [[Q, A', G'], [A, 0, 0], [G, 0, 0]].  The
-    start and the Newton matrix are factored with NATURAL in column orders
-    derived here from their patterns, so no solve's bits depend on the
-    solves before it.
+    Q, A and G's data to its own, and stored as P K P' in a symmetric order
+    derived here from the pattern: the start's, the Newton matrix's and one
+    bordered [[Q, A', G'], [A, 0, 0], [G, 0, 0]].  The polish and adjoint
+    matrices are rows and columns of the stored bordered one, so they take
+    its order restricted to their rows, still symmetric.  Every solve
+    factors with NATURAL: no solve or backward orders anything, and no
+    solve's bits depend on the solves before it.
     """
 
     def __init__(self, Q: sp.csr_matrix, A: sp.csr_matrix, G: sp.csr_matrix):
         super().__init__()
         self._patterns, self._eye = (Q, A, G), sp.identity(Q.shape[0], format="csr")
-        K, diag, _, fill = _kkt_matrix(self._eye, A, G)
-        order = self._pattern_order(K, diag)
-        self._start = (K, diag, fill, order, *_segments(K.indptr, order))
-        self._bordered = _kkt_matrix(Q, A, G, np.arange(G.shape[0]))
+        self._start = self._stored(*_kkt_matrix(self._eye, A, G))
+        self._bordered = self._stored(*_kkt_matrix(Q, A, G, np.arange(G.shape[0])))
         diag = self._newton_parts(Q, A, G)
+        order = self._pattern_order(self._K, diag)
         # stored Newton entry j is entry _at[j] of _fill's data
-        self._at, s_at = self._store_in_order(self._pattern_order(self._K, diag))
+        self._K, _, self._at = _permuted(self._K, order)
+        self._static, self._order, S = self._static[self._at], order, self._scaling
+        counts, s_at = _segments(S.indptr, self._at)
+        self._scaling = sp.csr_matrix((S.data[s_at], S.indices[s_at], _indptr(counts)),
+                                      shape=S.shape)
         self._reg, self._ea, self._eb = self._reg[self._at], self._ea[s_at], self._eb[s_at]
+
+    def _stored(self, K: sp.csc_matrix, diag: np.ndarray, _, fill) -> tuple:
+        """``_permuted``'s P K P', diagonal and data map for K's pattern
+        order, then the order and K's ``fill``."""
+        order = self._pattern_order(K, diag)
+        return (*_permuted(K, order), order, fill)
 
     def check(self, p: QpProblem) -> None:
         for M, P in zip(self._patterns, (p.Q, p.A, p.G)):
@@ -405,22 +406,34 @@ class KktStructure(_OneShotKkt):
                 raise QpError("problem's sparsity pattern differs from the KKT structure's")
 
     def _pattern_order(self, K: sp.csc_matrix, diag: np.ndarray) -> np.ndarray:
-        """K's COLAMD column order, as argsort(perm_c).  SuperLU orders from
-        the pattern alone, so a unit diagonal gives what any values would."""
+        """K's _ORDERING order with SuperLU's postorder, argsort(perm_c): K Pc's
+        column j is K's order[j].  SuperLU orders from the pattern alone, so
+        a unit diagonal gives what any values would."""
         unit = sp.csc_matrix((np.zeros(K.nnz), K.indices, K.indptr), shape=K.shape)
         unit.data[diag] = 1.0
         return np.argsort(self._splu(unit).perm_c)
 
+    def _natural(self, K: sp.csc_matrix):
+        return self._splu(K, "NATURAL").solve
+
     def start(self, p: QpProblem) -> tuple:
-        K, diag, fill, order, counts, at = self._start
-        K.data[:] = fill(self._eye, p.A, p.G)
-        return K, diag, p.num_vars, lambda M: _in_order(self._splu(sp.csc_matrix(
-            (M.data[at], M.indices[at], _indptr(counts)), shape=M.shape), "NATURAL"), order)
+        K, diag, at, order, fill = self._start
+        K.data[:] = fill(self._eye, p.A, p.G)[at]
+        return K, diag, order, p.num_vars, self._natural
 
     def bordered(self, p: QpProblem):
-        B, data, m = self._bordered[0], self._bordered[3](p.Q, p.A, p.G), p.num_vars + p.num_eq
-        return lambda rows: (*_principal(B, data, np.concatenate([np.arange(m), m + rows])),
-                             p.num_vars, self._colamd)
+        B, _, at, order, fill = self._bordered
+        data, m = fill(p.Q, p.A, p.G)[at], p.num_vars + p.num_eq
+
+        def system(rows):
+            # bordered index i becomes local[i] of the system, -1 if dropped;
+            # the kept stored positions, in stored order, are the system's
+            local = np.full(len(order), -1)
+            local[:m], local[m + rows] = np.arange(m), np.arange(m, m + len(rows))
+            local = local[order]
+            keep = np.flatnonzero(local >= 0)
+            return (*_principal(B, data, keep), local[keep], p.num_vars, self._natural)
+        return system
 
     def newton(self, p: QpProblem) -> "KktStructure":
         self._static = self._fill(p.Q, p.A, p.G)[self._at] + self._reg
@@ -429,11 +442,11 @@ class KktStructure(_OneShotKkt):
 
 
 def _in_order(lu: spla.SuperLU, order: np.ndarray):
-    """The solution map of a matrix factored (``lu``) with its columns
-    stored in ``order``: stored column j is column order[j]."""
+    """The solution map of K from the factors ``lu`` of K stored in
+    ``order``, as P K P' whose row and column j are K's order[j]."""
     def solve(rhs):
         x = np.empty_like(rhs)
-        x[order] = lu.solve(rhs)
+        x[order] = lu.solve(rhs[order])
         return x
     return solve
 
@@ -542,8 +555,9 @@ def _ipm(problem: QpProblem, tolerance: float, max_iter: int, structure: _OneSho
             rhs_u = -(r_d + GT @ (D * r_g - r_sz / s_safe))
             sol = newton_solve(np.concatenate([rhs_u, -r_p]))
             du, dy = sol[:n], sol[n:]
-            dz = D * (G @ du + r_g) - r_sz / s_safe
-            ds = -r_g - G @ du
+            Gdu = G @ du
+            dz = D * (Gdu + r_g) - r_sz / s_safe
+            ds = -r_g - Gdu
             return du, dy, dz, ds
 
         du_a, dy_a, dz_a, ds_a = newton(s * z)
@@ -600,7 +614,7 @@ def _polish(p: QpProblem, u, y, z, res, structure: _OneShotKkt):
         rows = np.array(sorted(act), dtype=int)
         rhs = np.concatenate([-p.q, p.b, p.h[rows]])
         try:
-            sol = _solve_kkt(*system(rows), rhs, np.concatenate([u, y, z[rows]]))
+            sol = _solve_kkt(system(rows), rhs, np.concatenate([u, y, z[rows]]))
         except SingularKktError:
             # dependent actives with inconsistent right-hand sides (a floor
             # cap plus every one of its zone caps): prune the weakest active
@@ -640,7 +654,7 @@ def _least_norm_start(p: QpProblem, tolerance: float, structure: _OneShotKkt) ->
     if p.num_eq == 0:
         return np.zeros(n)
     rhs = np.concatenate([np.zeros(n), p.b])
-    u = _solve_kkt(*structure.start(p), rhs)[:n]
+    u = _solve_kkt(structure.start(p), rhs)[:n]
     if np.abs(p.A @ u - p.b).max() > tolerance * max(1.0, np.abs(p.b).max()):
         raise SingularKktError("equality constraints are inconsistent")
     return u
@@ -653,7 +667,7 @@ def _solve_equality_qp(p: QpProblem, tolerance: float, structure: _OneShotKkt):
     scale = max(1.0, float(np.abs(p.q).max()),
                 float(np.abs(p.b).max()) if m else 0.0)
     try:
-        sol = _solve_kkt(*structure.bordered(p)(_NO_ENTRIES), np.concatenate([-p.q, p.b]))
+        sol = _solve_kkt(structure.bordered(p)(_NO_ENTRIES), np.concatenate([-p.q, p.b]))
     except SingularKktError:
         # consistent equalities and no KKT point: a descent ray exists
         return np.zeros(n), np.zeros(m), QpStatus.UNBOUNDED, 1
@@ -705,7 +719,7 @@ def backward(problem: QpProblem, solution: QpSolution, grad_primal: np.ndarray,
             stacklevel=2,
         )
     act = np.flatnonzero(active)
-    v = _solve_kkt(*system(act), np.concatenate([grad_primal, np.zeros(m_eq + len(act))]))
+    v = _solve_kkt(system(act), np.concatenate([grad_primal, np.zeros(m_eq + len(act))]))
     mu, v_mu = np.zeros(len(dual_in)), np.zeros(len(dual_in))
     mu[act] = dual_in[act]
     v_mu[act] = v[n + m_eq:]
@@ -763,6 +777,20 @@ def _kkt_matrix(H, A, G, active=_NO_ENTRIES, extra=(_NO_ENTRIES, _NO_ENTRIES)):
     return K, slot[len(src):len(src) + size], slot[len(src) + size:], fill
 
 
+def _permuted(K: sp.csc_matrix, order: np.ndarray) -> tuple:
+    """P K P', whose entry (i, j) is K's (order[i], order[j]), as a CSC
+    matrix with sorted indices; the data indices of its diagonal; and the
+    data index in K of each of its stored entries."""
+    new = np.empty_like(order)
+    new[order] = np.arange(len(order))
+    counts, at = _segments(K.indptr, order)
+    rows, cols = new[K.indices[at]], np.repeat(np.arange(len(order)), counts)
+    by = np.lexsort((rows, cols))
+    P = sp.csc_matrix((K.data[at[by]], rows[by], _indptr(counts)), shape=K.shape)
+    P.has_canonical_format = True
+    return P, np.flatnonzero(rows[by] == cols), at[by]
+
+
 def _principal(B: sp.csc_matrix, data: np.ndarray, keep: np.ndarray) -> tuple:
     """The rows and columns ``keep`` (increasing) of B with data ``data``, as
     a CSC matrix, and the data indices of its diagonal."""
@@ -778,19 +806,23 @@ def _principal(B: sp.csc_matrix, data: np.ndarray, keep: np.ndarray) -> tuple:
     return K, np.flatnonzero(rows == cols)
 
 
-def _solve_kkt(K: sp.csc_matrix, diag: np.ndarray, n: int, factor, rhs: np.ndarray,
-               v0: np.ndarray | None = None) -> np.ndarray:
-    """Solve K v = rhs for K = [[H, C'], [C, 0]], H n x n, whose diagonal
-    has data indices ``diag``; ``factor`` maps a matrix to its solution map.
+def _solve_kkt(system: tuple, rhs: np.ndarray, v0: np.ndarray | None = None) -> np.ndarray:
+    """Solve K v = rhs for K = [[H, C'], [C, 0]], H n x n, given as
+    ``system`` = (P K P', diag, order, n, factor): row and column j of the
+    stored P K P' are K's order[j], ``diag`` holds the data indices of its
+    diagonal, and ``factor`` maps a matrix to its solution map.
 
     A signed shift (+delta on H's diagonal, -delta on the multipliers')
     keeps the factor nonsingular with dependent rows; refinement against
     the unshifted K, from ``v0`` if given, removes its bias, and barely
     moves v along the null space, so dependent rows keep v0's multipliers.
-    Raises SingularKktError when no shift gives a consistent solve.
+    Everything runs in the stored numbering; the result is K's.  Raises
+    SingularKktError when no shift gives a consistent solve.
     """
+    K, diag, order, n, factor = system
+    rhs, v0 = rhs[order], None if v0 is None else v0[order]
     scale = max(1.0, float(np.abs(rhs).max()))
-    shift = np.where(np.arange(K.shape[0]) < n, 1.0, -1.0)
+    shift = np.where(order < n, 1.0, -1.0)
     shifted = K.copy()
     for delta in (_ADJOINT_REG, 1e-8, 1e-6):
         shifted.data[diag] = K.data[diag] + delta * shift
@@ -799,17 +831,23 @@ def _solve_kkt(K: sp.csc_matrix, diag: np.ndarray, n: int, factor, rhs: np.ndarr
         except RuntimeError:
             continue
         v = solve(rhs) if v0 is None else v0 + solve(rhs - K @ v0)
+        last = np.inf
         for _ in range(5):
             if not np.all(np.isfinite(v)):
                 break
             r = rhs - K @ v
+            size = float(np.max(np.abs(r)))
             # tight enough that a polish refined from an early, rough
-            # iterate leaves its complementarity mu * (Gu - h) at round-off
-            if np.max(np.abs(r)) <= 1e-15 * scale:
+            # iterate leaves its complementarity mu * (Gu - h) at round-off;
+            # a step that left over half the residual has reached round-off
+            if size <= 1e-15 * scale or size >= 0.5 * last:
                 break
+            last = size
             v = v + solve(r)
         if np.all(np.isfinite(v)) and np.max(np.abs(K @ v - rhs)) <= 1e-6 * scale:
-            return v
+            out = np.empty_like(v)
+            out[order] = v
+            return out
     raise SingularKktError("KKT system singular beyond regularization")
 
 

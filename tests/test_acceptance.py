@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 The nonlinear-plant reproduction (criterion 5) runs its desk-scale 5-zone
-variant here; the full 15-zone run (about 161 s on 2 cores) is enabled
+variant here; the full 15-zone run (about 55 s on 2 cores) is enabled
 by setting DFLSCHED_FULL_ACCEPTANCE=1.
 """
 import json
@@ -254,7 +254,7 @@ class TestCriterion5PaperFindingReproduction:
                and elapsed <= 300.0, detail)
 
     @pytest.mark.skipif(not os.environ.get("DFLSCHED_FULL_ACCEPTANCE"),
-                        reason="full 15-zone run (~161 s on 2 cores); set "
+                        reason="full 15-zone run (~55 s on 2 cores); set "
                                "DFLSCHED_FULL_ACCEPTANCE=1 to enable")
     def test_full_variant_fifteen_zones(self, tmp_path):
         start = time.perf_counter()

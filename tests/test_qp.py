@@ -224,13 +224,13 @@ class TestNewtonKkt:
 
     @pytest.mark.parametrize("zones", [1, 3])
     def test_factor_in_stored_order_solves_like_fresh_splu(self, rng, zones):
-        # the first factor fixes the column order; later factors at other
-        # scalings work on the pattern stored in that order and must solve
-        # K(D) x = r as accurately as a fresh factorization of K(D)
+        # a structure stores the Newton matrix as P K P' in its pattern's
+        # symmetric order; factors at any scaling work on that stored matrix
+        # and must solve K(D) x = r as accurately as a fresh factorization
         import scipy.sparse.linalg as spla
         p = schedule_qp(zones, horizon=6)
         size = p.num_vars + p.num_eq
-        kkt = qp._OneShotKkt().newton(p)
+        kkt = qp.KktStructure(p.Q, p.A, p.G).newton(p)
         for k in range(3):
             D = rng.uniform(0.0, 1e3, size=p.num_in)
             solve = kkt.newton_factor(D)
@@ -240,15 +240,15 @@ class TestNewtonKkt:
             floor = 1e-14 * np.abs(r).max()
             assert np.abs(ref @ x - r).max() <= 10 * max(np.abs(ref @ fresh - r).max(), floor), k
             np.testing.assert_allclose(x, fresh, rtol=1e-10, atol=1e-12)
-        # the order moves columns, so a wrong gather map or a missing
-        # un-permutation shows
+        # the order moves rows and columns, so a wrong gather map or a
+        # missing permutation of the right-hand side or the result shows
         assert not np.array_equal(kkt._order, np.arange(size))
 
     @pytest.mark.parametrize("m_eq", [0, 2])
     def test_primed_structure_writes_each_problems_values(self, rng, m_eq):
         # a structure built from one problem's patterns stores the Newton
-        # matrix in its pattern's column order and takes every value, static
-        # part and scaling map alike, from the problem it is given
+        # matrix as P K P' in its pattern's order and takes every value,
+        # static part and scaling map alike, from the problem it is given
         import scipy.sparse as sp
         p = random_strictly_convex_qp(rng, 6, m_eq, 5)
         G = p.G.toarray()
@@ -259,7 +259,8 @@ class TestNewtonKkt:
             other = replace(p, Q=p.Q * scale, A=p.A * (1 + scale), G=p.G * scale)
             kkt.newton(other)
             D = rng.uniform(0.0, 1e3, size=5)
-            ref = newton_reference(other, other.G, D).toarray()[:, kkt._order]
+            order = kkt._order
+            ref = newton_reference(other, other.G, D).toarray()[np.ix_(order, order)]
             np.testing.assert_allclose(kkt.newton_matrix(D).toarray(), ref,
                                        rtol=1e-13, atol=1e-12)
 
@@ -290,8 +291,9 @@ class TestKktMatrix:
     @pytest.mark.parametrize("m_eq", [0, 2])
     def test_bordered_rows_equal_direct_assembly(self, rng, m_eq):
         # a reusing structure takes the polish and adjoint matrices as rows
-        # and columns of its bordered pattern; each must equal, to the last
-        # bit and index, the matrix built for its active rows alone
+        # and columns of its stored bordered pattern; each must equal, to
+        # the last bit and stored entry, P K_S P' for the matrix K_S built
+        # for its active rows alone and the system's order
         import scipy.sparse as sp
         p = random_strictly_convex_qp(rng, 6, m_eq, 5)
         G = p.G.toarray()
@@ -300,11 +302,18 @@ class TestKktMatrix:
         system = qp.KktStructure(p.Q, p.A, p.G).bordered(p)
         for active in ([], [2], [0, 2, 3], [0, 1, 2, 3, 4], [4]):
             rows = np.array(active, dtype=int)
-            K, diag, n, _ = system(rows)
-            ref, ref_diag, _, _ = qp._kkt_matrix(p.Q, p.A, p.G, rows)
-            for got, want in ((K.data, ref.data), (K.indices, ref.indices),
-                              (K.indptr, ref.indptr), (diag, ref_diag)):
-                assert got.tobytes() == want.tobytes()
+            K, diag, order, n, _ = system(rows)
+            ref, _, _, _ = qp._kkt_matrix(p.Q, p.A, p.G, rows)
+            size = ref.shape[0]
+            assert np.array_equal(np.sort(order), np.arange(size))
+            pick = np.ix_(order, order)
+            stored = sp.csc_matrix((np.ones(ref.nnz), ref.indices, ref.indptr), shape=ref.shape)
+            want = sp.csc_matrix(stored.toarray()[pick])
+            assert K.has_sorted_indices and K.nnz == ref.nnz
+            assert K.indices.tobytes() == want.indices.tobytes()
+            assert K.indptr.tobytes() == want.indptr.tobytes()
+            assert K.toarray().tobytes() == ref.toarray()[pick].tobytes()
+            np.testing.assert_array_equal(K.indices[diag], np.arange(size))
             assert n == p.num_vars
 
 
@@ -340,8 +349,7 @@ class TestPolish:
         # splits the dependent multipliers arbitrarily, and the polish loops
         cold_solve_kkt = qp._solve_kkt
         monkeypatch.setattr(
-            qp, "_solve_kkt", lambda K, diag, n, factor, rhs, v0=None:
-            cold_solve_kkt(K, diag, n, factor, rhs))
+            qp, "_solve_kkt", lambda system, rhs, v0=None: cold_solve_kkt(system, rhs))
         cold = qp.solve(p)
         assert cold.status == qp.QpStatus.OPTIMAL
         assert cold.polish_rounds > 1
@@ -361,6 +369,19 @@ def schedule_qps(zones, count):
         DayScenario(ambient=k + 6.0 * np.sin(2 * np.pi * (hours - 9) / 24),
                     initial_tau=np.full(zones, 18.0 + k / 4), label=0, weight=1.0),
         tariff, config)[0] for k in range(count)]
+
+
+def counting_splu(monkeypatch) -> list:
+    """Record the permc_spec of every scipy splu call qp makes from now on."""
+    import scipy.sparse.linalg as spla
+    specs, splu = [], spla.splu
+
+    def counting(K, permc_spec="COLAMD", **kwargs):
+        specs.append(permc_spec)
+        return splu(K, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(qp.spla, "splu", counting)
+    return specs
 
 
 def solution_bytes(s, sens=None):
@@ -406,50 +427,168 @@ class TestKktStructure:
         assert first.status == lone.status == qp.QpStatus.OPTIMAL
 
     def test_primed_structure_orders_fewer_columns(self, monkeypatch):
-        # a lone solve orders its start, its first Newton step and each
-        # polish round with COLAMD; on a primed structure only the polish does
-        import scipy.sparse.linalg as spla
+        # a lone solve lets SuperLU order every factorization; a primed
+        # structure orders its three patterns once, when it is built, and
+        # its solves factor as many matrices as a lone solve, ordering none
         p = schedule_qp(5)
         structure = qp.KktStructure(p.Q, p.A, p.G)
-        specs = []
-        splu = spla.splu
-
-        def counting(K, permc_spec="COLAMD", **kwargs):
-            specs.append(permc_spec)
-            return splu(K, permc_spec=permc_spec, **kwargs)
-
-        monkeypatch.setattr(qp.spla, "splu", counting)
+        specs = counting_splu(monkeypatch)
         lone = qp.solve(p)
-        lone_colamd, specs[:] = specs.count("COLAMD"), []
+        lone_ordered, specs[:] = specs.count(qp._ORDERING), []
         primed = qp.solve(p, structure=structure)
-        assert primed.factorizations == len(specs) == lone.factorizations
-        assert specs.count("COLAMD") == primed.polish_rounds == lone_colamd - 2
-        assert structure.factorizations == 2 + primed.factorizations
+        assert primed.factorizations == len(specs) == lone.factorizations == lone_ordered
+        assert specs.count(qp._ORDERING) == 0
+        assert structure.factorizations == 3 + primed.factorizations
+
+    def test_primed_structure_solves_and_backward_only_with_natural(self, monkeypatch):
+        # no solve or backward on a primed structure orders anything: every
+        # SuperLU call it makes, over several problems and a backward each,
+        # takes the stored order as it is
+        problems = schedule_qps(5, 3)
+        structure = qp.KktStructure(problems[0].Q, problems[0].A, problems[0].G)
+        specs = counting_splu(monkeypatch)
+        factorizations = 0
+        for p in problems:
+            s = qp.solve(p, structure=structure)
+            qp.backward(p, s, np.linspace(-1.0, 1.0, p.num_vars), structure)
+            factorizations += s.factorizations + 1
+        assert specs == ["NATURAL"] * factorizations
+
+    @pytest.mark.parametrize("zones", [1, 3])
+    def test_restricted_bordered_order_factors_the_same_matrix(self, rng, zones):
+        # a row set's system takes the bordered order restricted to its rows:
+        # the stored positions it keeps, in stored order.  Its NATURAL factor
+        # solves the same (shifted) matrix as a fresh factor that SuperLU
+        # orders itself
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        p = schedule_qp(zones, horizon=6)
+        m = p.num_vars + p.num_eq
+        structure = qp.KktStructure(p.Q, p.A, p.G)
+        full = structure._bordered[3]
+        system = structure.bordered(p)
+        for rows in (np.arange(p.num_in), np.arange(0, p.num_in, 3), qp._NO_ENTRIES,
+                     np.sort(rng.choice(p.num_in, p.num_in // 2, replace=False))):
+            K, diag, order, n, factor = system(rows)
+            kept = np.concatenate([np.arange(m), m + rows])
+            # the system's index i is bordered index kept[i]
+            assert np.array_equal(kept[order], full[np.isin(full, kept)])
+            shifted = K.copy()
+            shifted.data[diag] += 1e-6 * np.where(order < n, 1.0, -1.0)
+            ref = shifted.toarray()[np.ix_(np.argsort(order), np.argsort(order))]
+            r = rng.normal(size=len(order))
+            x = np.empty_like(r)
+            x[order] = factor(shifted)(r[order])
+            fresh = spla.splu(sp.csc_matrix(ref), permc_spec=qp._ORDERING).solve(r)
+            np.testing.assert_allclose(x, fresh, rtol=1e-9, atol=1e-9 * np.abs(fresh).max())
+
+
+class TestSolveKkt:
+    @staticmethod
+    def counted(calls, change):
+        """A factor map whose solution maps record each call and return
+        ``change`` of the exact solve."""
+        import scipy.sparse.linalg as spla
+
+        def factor(M):
+            exact = spla.splu(M).solve
+
+            def solve(r):
+                calls.append(len(r))
+                return change(exact(r))
+            return solve
+        return factor
+
+    def test_refinement_stops_once_a_step_fails_to_halve_the_residual(self, rng):
+        # a solution map off by a constant d leaves the residual at -K d
+        # after every step, so the refinement stops after one step (two
+        # solves) where its cap would run six, and accepts the point
+        p = random_strictly_convex_qp(rng, 6, 2, 5)
+        K, diag, order, n, _ = qp._OneShotKkt().bordered(p)(np.array([0, 3]))
+        rhs = rng.normal(size=K.shape[0])
+        d = 1e-9 * rng.normal(size=K.shape[0])
+        calls = []
+        v = qp._solve_kkt((K, diag, order, n, self.counted(calls, lambda x: x + d)), rhs)
+        assert len(calls) == 2
+        assert np.abs(K @ v - rhs).max() <= 1e-6 * max(1.0, np.abs(rhs).max())
+        # a map that removes 99% of each residual cuts it below half; the
+        # refinement runs to its cap, still above 1e-15 relative
+        calls[:] = []
+        v = qp._solve_kkt((K, diag, order, n, self.counted(calls, lambda x: 0.99 * x)), rhs)
+        assert len(calls) == 6
+        assert np.abs(K @ v - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
+
+    def test_shift_is_signed_in_the_stored_numbering(self, rng):
+        # +delta on H's diagonal and -delta on the multipliers', wherever the
+        # stored order puts them (checked where the diagonal holds a zero,
+        # so the shifted entry is the shift itself)
+        p = schedule_qp(1, horizon=6)
+        K, diag, order, n, factor = qp.KktStructure(p.Q, p.A, p.G).bordered(p)(
+            np.arange(0, p.num_in, 2))
+        shifted = []
+
+        def recording(M):
+            shifted.append(M.diagonal())
+            return factor(M)
+
+        try:
+            qp._solve_kkt((K, diag, order, n, recording), rng.normal(size=K.shape[0]))
+        except qp.SingularKktError:
+            pass  # a random right-hand side may be inconsistent; the shift is checked
+        zero = K.diagonal() == 0.0
+        want = np.where(order < n, qp._ADJOINT_REG, -qp._ADJOINT_REG)
+        assert zero[order < n].any() and zero[order >= n].any()
+        np.testing.assert_array_equal(shifted[0][zero], want[zero])
+
+    def test_backward_stops_refining_at_round_off(self, monkeypatch):
+        # the adjoint's residual mostly stalls near 1e-14 relative after its
+        # second step, short of 1e-15, where the cap alone ran six solves a
+        # factorization (three a factorization over 60 seed-7 QPs)
+        import scipy.sparse.linalg as spla
+        calls, splu = [], spla.splu
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu, self.perm_c = lu, lu.perm_c
+
+            def solve(self, r):
+                calls.append(len(r))
+                return self.lu.solve(r)
+
+        monkeypatch.setattr(qp.spla, "splu", lambda *args, **kwargs: Counted(splu(*args, **kwargs)))
+        problems = schedule_qps(5, 3)
+        structure = qp.KktStructure(problems[0].Q, problems[0].A, problems[0].G)
+        solves = []
+        for p in problems:
+            s = qp.solve(p, structure=structure)
+            calls[:], before = [], structure.factorizations
+            qp.backward(p, s, np.linspace(-1.0, 1.0, p.num_vars), structure)
+            assert structure.factorizations - before == 1
+            solves.append(len(calls))
+        assert max(solves) < 6 and sum(solves) < 5 * len(problems), solves
 
 
 class TestEarlyPolish:
     def test_seed7_schedule_factorization_count(self, monkeypatch):
         # exact SuperLU factorizations of one 5-zone solve: the least-norm
-        # start, 7 Newton steps (the first orders the pattern, the other 6
-        # reuse that order) and a 2-round polish that ends the solve at
-        # iteration 8.  Without the early polish and the stored order this
-        # solve takes 13 iterations and 14 COLAMD factorizations.
-        import scipy.sparse.linalg as spla
+        # start, 7 Newton steps and a 2-round polish that ends the solve at
+        # iteration 8, each ordered by SuperLU on a lone solve; on a structure
+        # the same solve takes the same iterations, rounds and factorizations,
+        # all in stored orders.  Without the early polish this solve takes 13
+        # iterations and 14 factorizations.
         p = schedule_qp(5)
-        specs = []
-        splu = spla.splu
-
-        def counting(K, permc_spec="COLAMD", **kwargs):
-            specs.append(permc_spec)
-            return splu(K, permc_spec=permc_spec, **kwargs)
-
-        monkeypatch.setattr(qp.spla, "splu", counting)
+        structure = qp.KktStructure(p.Q, p.A, p.G)
+        specs = counting_splu(monkeypatch)
         s = qp.solve(p)
         assert s.status == qp.QpStatus.OPTIMAL and s.kkt_residual <= 1e-8
         assert (s.iterations, s.polish_rounds) == (8, 2)
         assert len(specs) == 10
-        assert specs.count("NATURAL") == 6
+        assert specs.count(qp._ORDERING) == 10
         assert s.factorizations == 10
+        specs[:] = []
+        primed = qp.solve(p, structure=structure)
+        assert (primed.iterations, primed.polish_rounds, primed.factorizations) == (8, 2, 10)
+        assert specs == ["NATURAL"] * 10
 
     def test_failed_try_keeps_iterating(self, monkeypatch):
         # the first try's active set alternates between two sets, so the
